@@ -131,13 +131,16 @@ class WorkerPool::Impl {
 
   void Run(Job* job) {
     job->publish_ns = obs::MonotonicNowNs();
+    // Read before publishing: once queued, helpers decrement the budget
+    // under mu_, which this thread no longer holds below.
+    const bool one_helper = job->helper_budget == 1;
     {
       std::lock_guard<std::mutex> lock(mu_);
       queue_.push_back(job);
       job->queued = true;
       ++jobs_published_;
     }
-    if (job->helper_budget == 1) {
+    if (one_helper) {
       work_cv_.notify_one();
     } else {
       work_cv_.notify_all();

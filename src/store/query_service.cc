@@ -44,6 +44,17 @@ void ObserveCiWidth(const IntervalEstimate& interval) {
   }
 }
 
+/// The aggregates' kernels assume independent seeds across instances. On
+/// a coordinated store (one shared salt, Section 7.2) they are biased --
+/// max^(HT) and min^(HT) roughly double, and the L1 difference can go
+/// negative -- so those stores get an error instead of an answer.
+Status RequireIndependentSeeds(const StoreSnapshot& snapshot) {
+  if (!snapshot.options().coordinated) return Status::OK();
+  return Status::FailedPrecondition(
+      "multi-instance aggregates need independent per-instance seeds; this "
+      "store is coordinated (shared seed salt)");
+}
+
 /// Instrumentation of the degraded path (registry lookups are fine here:
 /// answering from a partial store is the rare case, not the hot path).
 void NoteDegradedQuery(const char* query, double coverage) {
@@ -140,15 +151,31 @@ IntervalEstimate QueryService::DegradeFromPartials(
 
 namespace {
 
+/// The fill target of every per-shard scan on this thread, reused so a
+/// steady query stream allocates no slabs. Safe because a thread never
+/// starts a second fill while its first batch is live: the fill and its
+/// kernel scans run inside one WorkerPool index, and WorkerPool::Run
+/// drains only its own job -- a nested ParallelFor never runs another
+/// shard's fill on the waiting thread, and pool workers only pick up new
+/// jobs from their idle loop. Helpers of the nested chunk scan read this
+/// thread's batch; they never write it.
+OutcomeBatch& ScratchBatch() {
+  thread_local OutcomeBatch batch;
+  return batch;
+}
+
 /// Fills one shard's r=2 PPS union batch: one row per key sampled in
-/// either instance, slabs written in a deterministic order (s1's arrival
-/// order, then s2's keys not already covered). Shared by the max-pair and
-/// joint L1 scans so both see identical rows.
+/// either instance, s1's keys in arrival order, then s2's keys not in s1,
+/// in arrival order. Shared by the max-pair and joint L1 scans so both
+/// see identical rows. Each row probes only the index whose answer it
+/// does not already know: an s1 row reads its own weight and probes s2,
+/// an s2 row probes s1 once (a hit means the row was already written).
 void FillPairBatch(const StreamingPpsSketch* s1, const StreamingPpsSketch* s2,
                    double tau1, double tau2, const SeedFunction& seed1,
                    const SeedFunction& seed2, OutcomeBatch* batch) {
   batch->Reset(Scheme::kPps, 2);
-  auto add_key = [&](uint64_t key) {
+  auto add_row = [&](uint64_t key, bool in1, double v1, bool in2,
+                     double v2) {
     const int i = batch->AppendRow();
     double* tau = batch->param_row(i);
     tau[0] = tau1;
@@ -157,25 +184,23 @@ void FillPairBatch(const StreamingPpsSketch* s1, const StreamingPpsSketch* s2,
     seed[0] = seed1(key);
     seed[1] = seed2(key);
     uint8_t* sampled = batch->sampled_row(i);
+    sampled[0] = in1 ? 1 : 0;
+    sampled[1] = in2 ? 1 : 0;
     double* value = batch->value_row(i);
-    sampled[0] = sampled[1] = 0;
-    value[0] = value[1] = 0.0;
-    double v = 0.0;
-    if (s1 != nullptr && s1->Lookup(key, &v)) {
-      sampled[0] = 1;
-      value[0] = v;
-    }
-    if (s2 != nullptr && s2->Lookup(key, &v)) {
-      sampled[1] = 1;
-      value[1] = v;
-    }
+    value[0] = v1;
+    value[1] = v2;
   };
   if (s1 != nullptr) {
-    for (const auto& e : s1->entries()) add_key(e.key);
+    for (const auto& e : s1->entries()) {
+      double v2 = 0.0;
+      const bool in2 = s2 != nullptr && s2->Lookup(e.key, &v2);
+      add_row(e.key, true, e.weight, in2, v2);
+    }
   }
   if (s2 != nullptr) {
     for (const auto& e : s2->entries()) {
-      if (s1 == nullptr || !s1->Lookup(e.key, nullptr)) add_key(e.key);
+      if (s1 != nullptr && s1->Lookup(e.key, nullptr)) continue;
+      add_row(e.key, false, 0.0, true, e.weight);
     }
   }
 }
@@ -202,7 +227,7 @@ void QueryService::ScanMaxPair(
   const int scan_threads = ScanThreads();
   ForEachShard([&](int s) {
     const ShardSnapshot& shard = snapshot_->Shard(s);
-    OutcomeBatch batch;
+    OutcomeBatch& batch = ScratchBatch();
     FillPairBatch(shard.Instance(i1), shard.Instance(i2), tau1, tau2, seed1,
                   seed2, &batch);
     for (size_t k = 0; k < num_kernels; ++k) {
@@ -224,6 +249,7 @@ void QueryService::ScanMaxPair(
 }
 
 Result<DualInterval> QueryService::MaxDominance(int i1, int i2) const {
+  PIE_RETURN_IF_ERROR(RequireIndependentSeeds(*snapshot_));
   static obs::Histogram& latency = QueryHistogram("max_dominance");
   obs::ScopedTimer timer(latency);
   obs::ScopedSpan span("query/max_dominance");
@@ -255,6 +281,7 @@ Result<DualInterval> QueryService::MaxDominance(int i1, int i2) const {
 }
 
 Result<SelectedEstimate> QueryService::MaxDominanceAuto(int i1, int i2) const {
+  PIE_RETURN_IF_ERROR(RequireIndependentSeeds(*snapshot_));
   static obs::Histogram& latency = QueryHistogram("max_dominance_auto");
   obs::ScopedTimer timer(latency);
   obs::ScopedSpan span("query/max_dominance_auto");
@@ -286,6 +313,7 @@ Result<SelectedEstimate> QueryService::MaxDominanceAuto(int i1, int i2) const {
 }
 
 Result<IntervalEstimate> QueryService::MinDominanceHt(int i1, int i2) const {
+  PIE_RETURN_IF_ERROR(RequireIndependentSeeds(*snapshot_));
   static obs::Histogram& latency = QueryHistogram("min_dominance_ht");
   obs::ScopedTimer timer(latency);
   obs::ScopedSpan span("query/min_dominance_ht");
@@ -307,7 +335,7 @@ Result<IntervalEstimate> QueryService::MinDominanceHt(int i1, int i2) const {
     if (s1 == nullptr || s2 == nullptr) return;
     // min^(HT) needs both entries; the unknown-seeds kernel never reads
     // the seed slab, which stays zeroed for interface parity.
-    OutcomeBatch batch;
+    OutcomeBatch& batch = ScratchBatch();
     batch.Reset(Scheme::kPps, 2);
     for (const auto& e : s1->entries()) {
       double v2 = 0.0;
@@ -354,6 +382,7 @@ Result<IntervalEstimate> QueryService::MinDominanceHt(int i1, int i2) const {
 }
 
 Result<IntervalEstimate> QueryService::L1Distance(int i1, int i2) const {
+  PIE_RETURN_IF_ERROR(RequireIndependentSeeds(*snapshot_));
   static obs::Histogram& latency = QueryHistogram("l1_distance");
   obs::ScopedTimer timer(latency);
   obs::ScopedSpan span("query/l1_distance");
@@ -389,7 +418,7 @@ Result<IntervalEstimate> QueryService::L1Distance(int i1, int i2) const {
       static_cast<size_t>(num_shards));
   ForEachShard([&](int s) {
     const ShardSnapshot& shard = snapshot_->Shard(s);
-    OutcomeBatch batch;
+    OutcomeBatch& batch = ScratchBatch();
     FillPairBatch(shard.Instance(i1), shard.Instance(i2), tau1, tau2, seed1,
                   seed2, &batch);
     partial[static_cast<size_t>(s)].AddBatch(**max_l, **min_ht, batch, cross,
@@ -449,10 +478,12 @@ Status QueryService::ScanOrUnion(
     for (int j = 0; j < r; ++j) {
       sketches[static_cast<size_t>(j)] = shard.Instance(instances[j]);
     }
-    OutcomeBatch batch;
+    OutcomeBatch& batch = ScratchBatch();
     batch.Reset(Scheme::kPps, r);
-    // Each instance's entries contribute the keys no earlier instance
-    // already covered, so the union is scanned exactly once per key.
+    // Instance j contributes the keys no earlier instance covers, in its
+    // arrival order, so the union is scanned exactly once per key. A row
+    // of instance j probes only instances > j: the probes of instances
+    // < j just came back absent, and j itself holds the key.
     for (int j = 0; j < r; ++j) {
       const StreamingPpsSketch* sj = sketches[static_cast<size_t>(j)];
       if (sj == nullptr) continue;
@@ -476,7 +507,8 @@ Status QueryService::ScanOrUnion(
           tau[j2] = taus[static_cast<size_t>(j2)];
           seed[j2] = seeds[static_cast<size_t>(j2)](e.key);
           const StreamingPpsSketch* other = sketches[static_cast<size_t>(j2)];
-          const bool in = other != nullptr && other->Lookup(e.key, nullptr);
+          const bool in = j2 == j || (j2 > j && other != nullptr &&
+                                      other->Lookup(e.key, nullptr));
           sampled[j2] = in ? 1 : 0;
           value[j2] = in ? 1.0 : 0.0;
         }
@@ -508,6 +540,7 @@ Status QueryService::ScanOrUnion(
 
 Result<DualInterval> QueryService::DistinctUnion(
     const std::vector<int>& instances) const {
+  PIE_RETURN_IF_ERROR(RequireIndependentSeeds(*snapshot_));
   if (instances.size() < 2) {
     return Status::InvalidArgument("distinct union needs >= 2 instances");
   }
@@ -545,6 +578,7 @@ Result<DualInterval> QueryService::DistinctUnion(
 
 Result<SelectedEstimate> QueryService::DistinctUnionAuto(
     const std::vector<int>& instances) const {
+  PIE_RETURN_IF_ERROR(RequireIndependentSeeds(*snapshot_));
   if (instances.size() < 2) {
     return Status::InvalidArgument("distinct union needs >= 2 instances");
   }

@@ -24,6 +24,11 @@
 // L1Distance additionally scans its max^(L) and min^(HT) terms jointly
 // over the shared sample, estimating their covariance exactly instead of
 // assuming the worst (see L1Distance below).
+//
+// Every multi-instance aggregate assumes independent seeds across
+// instances and returns FailedPrecondition on a coordinated store
+// (SketchStoreOptions::coordinated), where its kernels would be biased.
+// SubsetSumHt reads one instance at a time and stays valid there.
 
 #pragma once
 

@@ -1,6 +1,7 @@
 #include "store/streaming_sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/check.h"
@@ -10,22 +11,57 @@ namespace pie {
 StreamingPpsSketch::StreamingPpsSketch(double tau, uint64_t salt)
     : tau_(tau), seed_fn_(salt) {
   PIE_CHECK(tau > 0 && std::isfinite(tau));
+  Rehash();
 }
 
 StreamingPpsSketch StreamingPpsSketch::FromParts(
     double tau, uint64_t salt, std::vector<WeightedItem> entries,
     uint64_t num_updates) {
   StreamingPpsSketch sketch(tau, salt);
-  sketch.index_.reserve(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    PIE_CHECK(entries[i].weight >= sketch.seed_fn_(entries[i].key) * tau &&
+  for (const auto& e : entries) {
+    PIE_CHECK(e.weight >= sketch.seed_fn_(e.key) * tau &&
               "entry violates the PPS inclusion invariant");
-    const bool inserted = sketch.index_.emplace(entries[i].key, i).second;
-    PIE_CHECK(inserted && "duplicate key in persisted entries");
   }
   sketch.entries_ = std::move(entries);
+  sketch.Rehash();
   sketch.num_updates_ = num_updates;
   return sketch;
+}
+
+size_t StreamingPpsSketch::CapacityFor(size_t n) {
+  return std::max<size_t>(16, std::bit_ceil(2 * n));
+}
+
+void StreamingPpsSketch::Rehash() {
+  PIE_CHECK(entries_.size() < kEmptySlot);
+  const size_t capacity = CapacityFor(entries_.size());
+  cells_.assign(capacity, Cell{0, kEmptySlot});
+  shift_ = 64 - std::countr_zero(capacity);
+  const size_t mask = capacity - 1;
+  for (size_t slot = 0; slot < entries_.size(); ++slot) {
+    const uint64_t key = entries_[slot].key;
+    const uint64_t hash = Mix64(key);
+    const auto fingerprint = static_cast<uint32_t>(hash);
+    size_t i = static_cast<size_t>(hash >> shift_);
+    while (cells_[i].slot != kEmptySlot) {
+      PIE_CHECK((cells_[i].fingerprint != fingerprint ||
+                 entries_[cells_[i].slot].key != key) &&
+                "duplicate key in persisted entries");
+      i = (i + 1) & mask;
+    }
+    cells_[i] = {fingerprint, static_cast<uint32_t>(slot)};
+  }
+}
+
+void StreamingPpsSketch::Insert(uint64_t key, double weight, uint64_t hash,
+                                size_t cell) {
+  entries_.push_back({key, weight});
+  if (2 * entries_.size() > cells_.size()) {
+    Rehash();  // indexes the new entry too
+    return;
+  }
+  cells_[cell] = {static_cast<uint32_t>(hash),
+                  static_cast<uint32_t>(entries_.size() - 1)};
 }
 
 void StreamingPpsSketch::Merge(const StreamingPpsSketch& other) {
@@ -35,12 +71,12 @@ void StreamingPpsSketch::Merge(const StreamingPpsSketch& other) {
   // records would be rejected here too (same seeds, same tau), and its
   // sampled ones arrive with their accumulated weights.
   for (const auto& e : other.entries_) {
-    auto it = index_.find(e.key);
-    if (it != index_.end()) {
-      entries_[it->second].weight += e.weight;
+    const uint64_t hash = Mix64(e.key);
+    const size_t cell = FindCell(e.key, hash);
+    if (cells_[cell].slot != kEmptySlot) {
+      entries_[cells_[cell].slot].weight += e.weight;
     } else {
-      index_.emplace(e.key, entries_.size());
-      entries_.push_back(e);
+      Insert(e.key, e.weight, hash, cell);
     }
   }
   num_updates_ += other.num_updates_;

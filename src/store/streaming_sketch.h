@@ -26,7 +26,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sampling/bottomk.h"
@@ -46,10 +45,11 @@ class StreamingPpsSketch {
   /// Rebuilds a sketch from persisted state (persist/format.cc): the
   /// entries land in `entries_` in the given order -- which a round-trip
   /// makes the original arrival order, keeping serialization bitwise --
-  /// and the key index is rebuilt. Keys must be distinct; every weight
-  /// must satisfy the inclusion invariant weight >= seed(key) * tau
-  /// (callers validate untrusted input *before* this, returning a typed
-  /// error; here violations are programming errors and PIE_CHECK).
+  /// and the key index is built at its final size in one pass. Keys must
+  /// be distinct; every weight must satisfy the inclusion invariant
+  /// weight >= seed(key) * tau (callers validate untrusted input *before*
+  /// this, returning a typed error; here violations are programming errors
+  /// and PIE_CHECK).
   static StreamingPpsSketch FromParts(double tau, uint64_t salt,
                                       std::vector<WeightedItem> entries,
                                       uint64_t num_updates);
@@ -59,15 +59,13 @@ class StreamingPpsSketch {
   void Update(uint64_t key, double weight) {
     ++num_updates_;
     if (weight <= 0) return;
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      entries_[it->second].weight += weight;  // sampled keys stay sampled
+    const uint64_t hash = Mix64(key);
+    const size_t cell = FindCell(key, hash);
+    if (cells_[cell].slot != kEmptySlot) {
+      entries_[cells_[cell].slot].weight += weight;  // sampled keys stay sampled
       return;
     }
-    if (weight >= seed_fn_(key) * tau_) {
-      index_.emplace(key, entries_.size());
-      entries_.push_back({key, weight});
-    }
+    if (weight >= seed_fn_(key) * tau_) Insert(key, weight, hash, cell);
   }
 
   /// Folds `other` in as if its records had been appended to this stream.
@@ -90,9 +88,9 @@ class StreamingPpsSketch {
 
   /// True + value if the key is in the sketch.
   bool Lookup(uint64_t key, double* value) const {
-    auto it = index_.find(key);
-    if (it == index_.end()) return false;
-    if (value != nullptr) *value = entries_[it->second].weight;
+    const size_t cell = FindCell(key, Mix64(key));
+    if (cells_[cell].slot == kEmptySlot) return false;
+    if (value != nullptr) *value = entries_[cells_[cell].slot].weight;
     return true;
   }
 
@@ -114,10 +112,52 @@ class StreamingPpsSketch {
   }
 
  private:
+  /// One index cell: the low 32 bits of the key's Mix64 hash (a filter
+  /// that spares the entries_ read on almost every mismatched cell) and
+  /// the key's entries_ slot, kEmptySlot when the cell is free.
+  struct Cell {
+    uint32_t fingerprint;
+    uint32_t slot;
+  };
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+  /// Linear probe for `key` (hash = Mix64(key)) from the bucket named by
+  /// the hash's high bits -- the store routes keys to shards by
+  /// Mix64(key) % num_shards, which pins the low bits within a shard.
+  /// Returns the key's cell, else the free cell that ends its probe run.
+  size_t FindCell(uint64_t key, uint64_t hash) const {
+    const size_t mask = cells_.size() - 1;
+    const auto fingerprint = static_cast<uint32_t>(hash);
+    for (size_t i = static_cast<size_t>(hash >> shift_);; i = (i + 1) & mask) {
+      const Cell cell = cells_[i];
+      if (cell.slot == kEmptySlot ||
+          (cell.fingerprint == fingerprint &&
+           entries_[cell.slot].key == key)) {
+        return i;
+      }
+    }
+  }
+
+  /// Appends (key, weight), a key known to be absent, and indexes it at
+  /// `cell` (FindCell's answer for it) -- or rebuilds the index a size up
+  /// when the new entry would push its load above 1/2.
+  void Insert(uint64_t key, double weight, uint64_t hash, size_t cell);
+
+  /// Rebuilds the index at CapacityFor(size()) cells, indexing entries_ in
+  /// slot order. PIE_CHECKs that the keys are distinct.
+  void Rehash();
+
+  /// Index size for n entries: the smallest power of two >= 2n, at least
+  /// 16 -- a function of n alone, however the entries arrived.
+  static size_t CapacityFor(size_t n);
+
   double tau_;
   SeedFunction seed_fn_;
   std::vector<WeightedItem> entries_;
-  std::unordered_map<uint64_t, size_t> index_;  // key -> entries_ slot
+  /// Open-addressing key -> entries_ slot index, load <= 1/2. Trivially
+  /// copyable, so a snapshot copies it whole.
+  std::vector<Cell> cells_;
+  int shift_ = 0;  // 64 - log2(cells_.size())
   uint64_t num_updates_ = 0;
 };
 

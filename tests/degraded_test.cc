@@ -17,6 +17,7 @@
 #include "persist/format.h"
 #include "store/query_service.h"
 #include "store/sketch_store.h"
+#include "test_dirs.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -50,12 +51,6 @@ std::unique_ptr<SketchStore> BuildStore() {
     if (key % 3 == 0) store->Update(11, key + 1000, 1.0);
   }
   return store;
-}
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/degraded_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 /// Checkpoints a fresh store into `dir` and deletes the given shard files
@@ -107,7 +102,7 @@ std::vector<uint64_t> Bits(const std::vector<IntervalEstimate>& intervals) {
 }
 
 TEST(DegradedTest, DegradedRecoverMarksLostShardsAbsent) {
-  const std::string dir = FreshDir("mark");
+  const std::string dir = FreshTestDir("mark");
   WriteStoreWithLostShards(dir, {1, 5});
 
   // Strict recovery must NOT serve the damaged (only) generation.
@@ -138,7 +133,7 @@ TEST(DegradedTest, DegradedNeverResurrectsUncommittedGeneration) {
   // Generation 2 has every shard file but NO manifest (crashed before its
   // commit point): degraded recovery must serve complete generation 1, not
   // stitch together the uncommitted one.
-  const std::string dir = FreshDir("uncommitted");
+  const std::string dir = FreshTestDir("uncommitted");
   const auto store = BuildStore();
   ASSERT_TRUE(store->Checkpoint(dir).ok());
   ASSERT_TRUE(store->Checkpoint(dir).ok());
@@ -155,7 +150,7 @@ TEST(DegradedTest, DegradedNeverResurrectsUncommittedGeneration) {
 }
 
 TEST(DegradedTest, AllShardsLostIsDataLoss) {
-  const std::string dir = FreshDir("all_lost");
+  const std::string dir = FreshTestDir("all_lost");
   WriteStoreWithLostShards(dir, {0, 1, 2, 3, 4, 5, 6, 7});
   RecoverOptions options;
   options.policy = RecoverPolicy::kDegraded;
@@ -165,21 +160,21 @@ TEST(DegradedTest, AllShardsLostIsDataLoss) {
 }
 
 TEST(DegradedTest, DegradedStoreRefusesCheckpoint) {
-  const std::string dir = FreshDir("refuse");
+  const std::string dir = FreshTestDir("refuse");
   WriteStoreWithLostShards(dir, {2});
   RecoverOptions options;
   options.policy = RecoverPolicy::kDegraded;
   auto degraded = SketchStore::Recover(dir, options);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
 
-  const std::string out = FreshDir("refuse_out");
+  const std::string out = FreshTestDir("refuse_out");
   const Status status = (*degraded)->Checkpoint(out);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(DegradedTest, DegradedAnswersAllAggregatesDeterministically) {
-  const std::string dir = FreshDir("determinism");
+  const std::string dir = FreshTestDir("determinism");
   WriteStoreWithLostShards(dir, {1, 5});
   RecoverOptions options;
   options.policy = RecoverPolicy::kDegraded;
@@ -217,7 +212,7 @@ TEST(DegradedTest, DegradedIntervalsAreConservative) {
   QueryService full_service(full->Snapshot());
   const auto full_intervals = AllAggregates(full_service);
 
-  const std::string dir = FreshDir("conservative");
+  const std::string dir = FreshTestDir("conservative");
   WriteStoreWithLostShards(dir, {1, 5});
   RecoverOptions options;
   options.policy = RecoverPolicy::kDegraded;
@@ -239,7 +234,7 @@ TEST(DegradedTest, DegradedIntervalsAreConservative) {
 }
 
 TEST(DegradedTest, SelectorAggregatesCarryCoverageToo) {
-  const std::string dir = FreshDir("auto");
+  const std::string dir = FreshTestDir("auto");
   WriteStoreWithLostShards(dir, {3});
   RecoverOptions options;
   options.policy = RecoverPolicy::kDegraded;
@@ -256,7 +251,7 @@ TEST(DegradedTest, SelectorAggregatesCarryCoverageToo) {
 }
 
 TEST(DegradedTest, WithVarianceOffKeepsZeroWidthContract) {
-  const std::string dir = FreshDir("novariance");
+  const std::string dir = FreshTestDir("novariance");
   WriteStoreWithLostShards(dir, {1, 5});
   RecoverOptions options;
   options.policy = RecoverPolicy::kDegraded;

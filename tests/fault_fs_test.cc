@@ -15,6 +15,7 @@
 #include "persist/checkpoint.h"
 #include "persist/retry.h"
 #include "store/sketch_store.h"
+#include "test_dirs.h"
 #include "util/fs.h"
 #include "util/status.h"
 
@@ -22,8 +23,7 @@ namespace pie {
 namespace {
 
 std::string FreshDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
+  const std::string dir = FreshTestDir(name);
   std::filesystem::create_directories(dir);
   return dir;
 }

@@ -25,6 +25,7 @@
 #include "persist/gc.h"
 #include "store/query_service.h"
 #include "store/sketch_store.h"
+#include "test_dirs.h"
 #include "util/fs.h"
 
 namespace pie {
@@ -64,10 +65,7 @@ void RunWorkload() {
 
   // Per-test directory: the workload is destructive (GC, shard loss) and
   // the suite's tests run as concurrent ctest processes.
-  const std::string dir =
-      testing::TempDir() + "/obs_dump_" +
-      testing::UnitTest::GetInstance()->current_test_info()->name();
-  std::filesystem::remove_all(dir);
+  const std::string dir = FreshTestDir("store");
   ASSERT_TRUE(store.Checkpoint(dir).ok());
   ASSERT_TRUE(SketchStore::Recover(dir).ok());
 

@@ -23,6 +23,7 @@
 #include "persist/format.h"
 #include "store/query_service.h"
 #include "store/sketch_store.h"
+#include "test_dirs.h"
 #include "util/random.h"
 
 namespace pie {
@@ -95,12 +96,6 @@ std::vector<uint64_t> QueryBits(const SketchStore& store, int num_threads) {
   return bits;
 }
 
-std::string FreshDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/determinism_" + name;
-  fs::remove_all(dir);
-  return dir;
-}
-
 /// Ingests stream[begin, end) into a fresh store.
 std::unique_ptr<SketchStore> BuildSlice(const std::vector<Record>& stream,
                                         size_t begin, size_t end) {
@@ -123,7 +118,7 @@ class PersistDeterminismTest : public testing::Test {
       const size_t begin = n * p / kNumProcesses;
       const size_t end = n * (p + 1) / kNumProcesses;
       const auto slice = BuildSlice(stream, begin, end);
-      const std::string dir = FreshDir(tag + "_p" + std::to_string(p));
+      const std::string dir = FreshTestDir(tag + "_p" + std::to_string(p));
       EXPECT_TRUE(slice->Checkpoint(dir).ok());
       dirs.push_back(dir);
     }
@@ -200,7 +195,7 @@ TEST_F(PersistDeterminismTest, TornParticipantFallsBackAndStaysBitwise) {
   for (int p = 0; p < kNumProcesses; ++p) {
     const auto slice =
         BuildSlice(stream, n * p / kNumProcesses, n * (p + 1) / kNumProcesses);
-    const std::string dir = FreshDir("torn_p" + std::to_string(p));
+    const std::string dir = FreshTestDir("torn_p" + std::to_string(p));
     ASSERT_TRUE(slice->Checkpoint(dir).ok());
     ASSERT_TRUE(slice->Checkpoint(dir).ok());
     dirs.push_back(dir);

@@ -21,18 +21,13 @@
 #include "store/query_service.h"
 #include "store/sketch_store.h"
 #include "store/streaming_sketch.h"
+#include "test_dirs.h"
 #include "util/random.h"
 
 namespace pie {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/persist_" + name;
-  fs::remove_all(dir);
-  return dir;
-}
 
 std::string Slurp(const std::string& path) {
   auto bytes = persist::ReadFileBytes(path);
@@ -279,7 +274,7 @@ TEST(FormatTest, ManifestRoundTrip) {
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointTest, RecoverReproducesTheStoreBitwise) {
-  const std::string dir = FreshDir("roundtrip");
+  const std::string dir = FreshTestDir("roundtrip");
   auto store_ptr = BuildStore();
   SketchStore& store = *store_ptr;
   ASSERT_TRUE(store.Checkpoint(dir).ok());
@@ -303,7 +298,7 @@ TEST(CheckpointTest, RecoverReproducesTheStoreBitwise) {
 }
 
 TEST(CheckpointTest, RecoveredStoreKeepsIngesting) {
-  const std::string dir = FreshDir("continue");
+  const std::string dir = FreshTestDir("continue");
   auto store_ptr = BuildStore();
   SketchStore& store = *store_ptr;
   ASSERT_TRUE(store.Checkpoint(dir).ok());
@@ -317,7 +312,7 @@ TEST(CheckpointTest, RecoveredStoreKeepsIngesting) {
 }
 
 TEST(CheckpointTest, NewestGenerationWinsAndSeqsAdvance) {
-  const std::string dir = FreshDir("generations");
+  const std::string dir = FreshTestDir("generations");
   auto store_ptr = BuildStore();
   SketchStore& store = *store_ptr;
   ASSERT_TRUE(store.Checkpoint(dir).ok());
@@ -336,7 +331,7 @@ TEST(CheckpointTest, NewestGenerationWinsAndSeqsAdvance) {
 }
 
 TEST(CheckpointTest, TornWriteFallsBackToLastCompleteGeneration) {
-  const std::string dir = FreshDir("torn");
+  const std::string dir = FreshTestDir("torn");
   auto store_ptr = BuildStore();
   SketchStore& store = *store_ptr;
   ASSERT_TRUE(store.Checkpoint(dir).ok());  // generation 1: complete
@@ -377,14 +372,14 @@ TEST(CheckpointTest, TornWriteFallsBackToLastCompleteGeneration) {
   ASSERT_FALSE(dead.ok());
   EXPECT_EQ(dead.status().code(), StatusCode::kDataLoss);
   // ...and an empty directory reports NotFound.
-  auto empty = SketchStore::Recover(FreshDir("empty"));
+  auto empty = SketchStore::Recover(FreshTestDir("empty"));
   ASSERT_FALSE(empty.ok());
   EXPECT_EQ(empty.status().code(), StatusCode::kNotFound);
 }
 
 TEST(CheckpointTest, MergeRejectsMismatchedOptions) {
-  const std::string dir_a = FreshDir("mismatch_a");
-  const std::string dir_b = FreshDir("mismatch_b");
+  const std::string dir_a = FreshTestDir("mismatch_a");
+  const std::string dir_b = FreshTestDir("mismatch_b");
   SketchStoreOptions options;
   options.num_shards = 4;
   options.default_tau = 2.0;
@@ -403,7 +398,7 @@ TEST(CheckpointTest, MergeRejectsMismatchedOptions) {
 
 #ifdef PIE_METRICS
 TEST(CheckpointTest, TornRecoveryCountsCrcFailures) {
-  const std::string dir = FreshDir("crc_metric");
+  const std::string dir = FreshTestDir("crc_metric");
   auto store_ptr = BuildStore();
   SketchStore& store = *store_ptr;
   ASSERT_TRUE(store.Checkpoint(dir).ok());
@@ -435,7 +430,7 @@ TEST(CheckpointTest, TornRecoveryCountsCrcFailures) {
 class CorruptionSweepTest : public testing::Test {
  protected:
   void SetUp() override {
-    const std::string dir = FreshDir("sweep");
+    const std::string dir = FreshTestDir("sweep");
     SketchStoreOptions options;
     options.num_shards = 2;
     options.default_tau = 4.0;
@@ -532,7 +527,7 @@ std::unique_ptr<SketchStore> BuildGoldenStore() {
 TEST(GoldenCheckpointTest, CommittedBytesAreReproducedExactly) {
   const std::string golden_dir =
       std::string(PIE_TEST_SOURCE_DIR) + "/tests/golden/checkpoint_v1";
-  const std::string dir = FreshDir("golden");
+  const std::string dir = FreshTestDir("golden");
   auto store_ptr = BuildGoldenStore();
   SketchStore& store = *store_ptr;
   persist::CheckpointOptions options;

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <random>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "aggregate/distinct_multi.h"
 #include "aggregate/dominance.h"
 #include "aggregate/sketch.h"
+#include "core/min_weighted.h"
 #include "gtest/gtest.h"
 #include "sampling/bottomk.h"
 #include "store/query_service.h"
@@ -140,6 +143,93 @@ void ExpectSketchesIdentical(const BottomKSketch& a, const BottomKSketch& b) {
   }
 }
 
+// A tau this small samples every positive record (seeds are < 1), so the
+// index tests below control exactly which keys the sketch holds.
+constexpr double kSampleAllTau = 1e-12;
+
+TEST(StreamingPpsIndexTest, OneShardKeysGrowThroughTenDoublingsLikeAMap) {
+  // Keys the store would route to shard 0 of 16: Mix64(key) % 16 == 0
+  // pins the hash's low bits, the clustering the index must not feel.
+  std::vector<uint64_t> keys;
+  for (uint64_t key = 1; keys.size() < (16u << 10); ++key) {
+    if (Mix64(key) % 16 == 0) keys.push_back(key);
+  }
+  std::mt19937_64 shuffler(77);
+  StreamingPpsSketch sketch(kSampleAllTau, 5);
+  std::map<uint64_t, double> oracle;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const uint64_t key = keys[i];
+    const double weight = static_cast<double>(1 + i % 13);
+    sketch.Update(key, weight);
+    oracle[key] += weight;
+    // Repeat an earlier key now and then: it must accumulate, not append.
+    const uint64_t again = keys[shuffler() % (i + 1)];
+    sketch.Update(again, 0.5);
+    oracle[again] += 0.5;
+  }
+  ASSERT_EQ(static_cast<size_t>(sketch.size()), oracle.size());
+  for (const auto& [key, weight] : oracle) {
+    double value = 0.0;
+    ASSERT_TRUE(sketch.Lookup(key, &value)) << key;
+    EXPECT_EQ(value, weight) << key;
+  }
+  // Arrival order is kept: entries_[i] is the i-th distinct key offered.
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(sketch.entries()[i].key, keys[i]);
+  }
+  // Misses on keys of the same shard that were never offered.
+  int misses = 0;
+  for (uint64_t key = keys.back() + 1; misses < 1000; ++key) {
+    if (Mix64(key) % 16 != 0) continue;
+    ++misses;
+    EXPECT_FALSE(sketch.Lookup(key, nullptr)) << key;
+  }
+  // The rebuilt and merged indexes answer the same.
+  const auto rebuilt = StreamingPpsSketch::FromParts(
+      kSampleAllTau, 5, sketch.entries(), sketch.num_updates());
+  StreamingPpsSketch merged(kSampleAllTau, 5);
+  merged.Merge(sketch);
+  for (const auto& [key, weight] : oracle) {
+    double a = 0.0, b = 0.0;
+    ASSERT_TRUE(rebuilt.Lookup(key, &a));
+    ASSERT_TRUE(merged.Lookup(key, &b));
+    EXPECT_EQ(a, weight);
+    EXPECT_EQ(b, weight);
+  }
+  EXPECT_FALSE(rebuilt.Lookup(keys.back() + 1, nullptr));
+}
+
+TEST(StreamingPpsIndexTest, LookupOnEmptyAndMissAfterGrowth) {
+  StreamingPpsSketch sketch(kSampleAllTau, 1);
+  double value = -1.0;
+  EXPECT_FALSE(sketch.Lookup(0, &value));
+  EXPECT_FALSE(sketch.Lookup(42, nullptr));
+  EXPECT_EQ(value, -1.0);  // untouched on a miss
+  sketch.Update(7, 0.0);   // counted, never sampled
+  EXPECT_FALSE(sketch.Lookup(7, nullptr));
+  EXPECT_EQ(sketch.num_updates(), 1u);
+
+  // Even keys only, through several doublings; odd keys must all miss.
+  for (uint64_t key = 0; key < 5000; key += 2) sketch.Update(key, 1.0);
+  for (uint64_t key = 1; key < 5000; key += 2) {
+    EXPECT_FALSE(sketch.Lookup(key, &value)) << key;
+  }
+  EXPECT_EQ(value, -1.0);
+  EXPECT_TRUE(sketch.Lookup(4998, &value));
+  EXPECT_EQ(value, 1.0);
+}
+
+TEST(StreamingPpsIndexDeathTest, FromPartsRejectsDuplicateKey) {
+  std::vector<WeightedItem> entries = {{3, 1.0}, {9, 2.0}, {3, 4.0}};
+  EXPECT_DEATH(
+      {
+        auto sketch = StreamingPpsSketch::FromParts(kSampleAllTau, 1,
+                                                    entries, 3);
+        (void)sketch;
+      },
+      "duplicate key");
+}
+
 TEST(StreamingBottomkTest, MatchesBatchSamplerOnAnyPermutation) {
   Rng rng(7);
   const auto items = ZipfishItems(500, rng);
@@ -226,6 +316,42 @@ TEST(SketchStoreTest, SnapshotReusesCleanShardsAndSeesWrites) {
   // The old snapshot is immutable: the new key is visible only in snap3.
   EXPECT_FALSE(snap1->MergedInstance(0).Lookup(key, nullptr));
   EXPECT_TRUE(snap3->MergedInstance(0).Lookup(key, nullptr));
+}
+
+TEST(SketchStoreTest, PublishedSnapshotIgnoresLaterUpdates) {
+  SketchStoreOptions options;
+  options.num_shards = 2;
+  options.default_tau = kSampleAllTau;
+  SketchStore store(options);
+  for (uint64_t key = 1; key <= 40; ++key) store.Update(0, key, 1.0);
+  const auto snapshot = store.Snapshot();
+  std::vector<std::vector<WeightedItem>> before;
+  for (int s = 0; s < snapshot->num_shards(); ++s) {
+    before.push_back(snapshot->Shard(s).Instance(0)->entries());
+  }
+
+  // Grow every live sketch through several index doublings and bump the
+  // weights of the keys the snapshot already holds.
+  for (uint64_t key = 1; key <= 4000; ++key) store.Update(0, key, 2.0);
+  for (int s = 0; s < snapshot->num_shards(); ++s) {
+    const StreamingPpsSketch* sketch = snapshot->Shard(s).Instance(0);
+    const auto& entries = before[static_cast<size_t>(s)];
+    ASSERT_EQ(sketch->entries().size(), entries.size());
+    for (size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_EQ(sketch->entries()[i].key, entries[i].key);
+      double value = 0.0;
+      ASSERT_TRUE(sketch->Lookup(entries[i].key, &value));
+      EXPECT_EQ(value, 1.0);
+    }
+    for (uint64_t key = 41; key <= 4000; ++key) {
+      EXPECT_FALSE(sketch->Lookup(key, nullptr)) << key;
+    }
+  }
+  const auto after = store.Snapshot();
+  EXPECT_EQ(after->UpdateCount(0), 4040u);
+  double value = 0.0;
+  ASSERT_TRUE(after->Shard(store.ShardOf(7)).Instance(0)->Lookup(7, &value));
+  EXPECT_EQ(value, 3.0);
 }
 
 TEST(SketchStoreTest, MaterializeMatchesDirectBuild) {
@@ -440,6 +566,185 @@ TEST(QueryServiceTest, SubsetSumMatchesMaterializedSketch) {
   auto pred = [](uint64_t key) { return key % 5 != 0; };
   EXPECT_NEAR(service.SubsetSumHt(0, pred), s1.SubsetSumEstimate(pred),
               1e-9 * std::fabs(s1.SubsetSumEstimate(pred)));
+}
+
+TEST(QueryServiceTest, CoordinatedStoreRefusesMultiInstanceAggregates) {
+  SketchStoreOptions options;
+  options.num_shards = 4;
+  options.default_tau = 4.0;
+  options.salt = 11;
+  options.coordinated = true;
+  SketchStore store(options);
+  for (uint64_t key = 1; key <= 500; ++key) {
+    store.Update(0, key, 1.0);
+    if (key % 2 == 0) store.Update(1, key, 1.0);
+  }
+  QueryService service(store.Snapshot());
+  const auto is_precondition = [](const Status& status) {
+    return status.code() == StatusCode::kFailedPrecondition;
+  };
+  EXPECT_TRUE(is_precondition(service.MaxDominance(0, 1).status()));
+  EXPECT_TRUE(is_precondition(service.MaxDominanceAuto(0, 1).status()));
+  EXPECT_TRUE(is_precondition(service.MinDominanceHt(0, 1).status()));
+  EXPECT_TRUE(is_precondition(service.L1Distance(0, 1).status()));
+  EXPECT_TRUE(is_precondition(service.DistinctUnion({0, 1}).status()));
+  EXPECT_TRUE(is_precondition(service.DistinctUnionAuto({0, 1}).status()));
+  // Per-instance subset sums do not depend on cross-instance seeds.
+  EXPECT_GT(service.SubsetSumHt(0, [](uint64_t) { return true; }), 0.0);
+}
+
+// The union-batch fill as it stood before the single-probe rewrite: every
+// row probes every instance. The store's fills must produce the same rows
+// in the same order, so every aggregate keeps its bits.
+void TwoLookupUnionFill(const std::vector<const StreamingPpsSketch*>& sketches,
+                        const std::vector<double>& taus,
+                        const std::vector<SeedFunction>& seeds,
+                        OutcomeBatch* batch) {
+  const int r = static_cast<int>(sketches.size());
+  batch->Reset(Scheme::kPps, r);
+  for (int j = 0; j < r; ++j) {
+    const StreamingPpsSketch* sj = sketches[static_cast<size_t>(j)];
+    if (sj == nullptr) continue;
+    for (const auto& e : sj->entries()) {
+      bool covered = false;
+      for (int j2 = 0; j2 < j && !covered; ++j2) {
+        const StreamingPpsSketch* prev = sketches[static_cast<size_t>(j2)];
+        covered = prev != nullptr && prev->Lookup(e.key, nullptr);
+      }
+      if (covered) continue;
+      const int i = batch->AppendRow();
+      for (int j2 = 0; j2 < r; ++j2) {
+        const StreamingPpsSketch* other = sketches[static_cast<size_t>(j2)];
+        double v = 0.0;
+        const bool in = other != nullptr && other->Lookup(e.key, &v);
+        batch->param_row(i)[j2] = taus[static_cast<size_t>(j2)];
+        batch->seed_row(i)[j2] = seeds[static_cast<size_t>(j2)](e.key);
+        batch->sampled_row(i)[j2] = in ? 1 : 0;
+        batch->value_row(i)[j2] = in ? v : 0.0;
+      }
+    }
+  }
+}
+
+/// One two-lookup batch per shard of `instances`.
+std::vector<OutcomeBatch> TwoLookupBatches(const StoreSnapshot& snapshot,
+                                           const std::vector<int>& instances) {
+  std::vector<double> taus;
+  std::vector<SeedFunction> seeds;
+  for (int instance : instances) {
+    taus.push_back(snapshot.TauFor(instance));
+    seeds.emplace_back(snapshot.InstanceSalt(instance));
+  }
+  std::vector<OutcomeBatch> batches(static_cast<size_t>(snapshot.num_shards()));
+  for (int s = 0; s < snapshot.num_shards(); ++s) {
+    std::vector<const StreamingPpsSketch*> sketches;
+    for (int instance : instances) {
+      sketches.push_back(snapshot.Shard(s).Instance(instance));
+    }
+    TwoLookupUnionFill(sketches, taus, seeds,
+                       &batches[static_cast<size_t>(s)]);
+  }
+  return batches;
+}
+
+/// The kernel over every batch, reduced in shard order like the store.
+IntervalEstimate ScanBatches(const std::vector<OutcomeBatch>& batches,
+                             KernelSpec spec, const std::vector<double>& taus) {
+  auto kernel = EstimationEngine::Global().Kernel(
+      spec, SamplingParams(taus, QueryServiceOptions().quad_tol));
+  EXPECT_TRUE(kernel.ok());
+  AccuracyAccumulator total;
+  for (const auto& batch : batches) {
+    AccuracyAccumulator shard;
+    shard.AddBatch(**kernel, batch, 1);
+    total.Merge(shard);
+  }
+  return total.Interval();
+}
+
+bool SameBits(const IntervalEstimate& a, const IntervalEstimate& b) {
+  return std::memcmp(&a.estimate, &b.estimate, sizeof(double)) == 0 &&
+         std::memcmp(&a.variance, &b.variance, sizeof(double)) == 0 &&
+         std::memcmp(&a.lo, &b.lo, sizeof(double)) == 0 &&
+         std::memcmp(&a.hi, &b.hi, sizeof(double)) == 0;
+}
+
+TEST(QueryServiceTest, FillsMatchTheTwoLookupFillBitwise) {
+  const auto fixture = MakeTwoInstanceStore();
+  const auto weighted = fixture.store->Snapshot();
+  const double tau1 = weighted->TauFor(0);
+  const double tau2 = weighted->TauFor(1);
+  const auto pair_batches = TwoLookupBatches(*weighted, {0, 1});
+  const KernelSpec max_ht{Function::kMax, Scheme::kPps, Regime::kKnownSeeds,
+                          Family::kHt};
+  const KernelSpec max_l{Function::kMax, Scheme::kPps, Regime::kKnownSeeds,
+                         Family::kL};
+  const KernelSpec min_ht{Function::kMin, Scheme::kPps,
+                          Regime::kUnknownSeeds, Family::kHt};
+  const IntervalEstimate want_ht =
+      ScanBatches(pair_batches, max_ht, {tau1, tau2});
+  const IntervalEstimate want_l =
+      ScanBatches(pair_batches, max_l, {tau1, tau2});
+
+  // L1: the joint max^(L) - min^(HT) scan over the same batches.
+  const SamplingParams params({tau1, tau2}, QueryServiceOptions().quad_tol);
+  auto kx = EstimationEngine::Global().Kernel(max_l, params);
+  auto ky = EstimationEngine::Global().Kernel(min_ht, params);
+  ASSERT_TRUE(kx.ok() && ky.ok());
+  const MinHtWeighted min_core({tau1, tau2});
+  const auto cross = [&min_core](const BatchView& chunk, int i, double x,
+                                 double y) {
+    return x * y - min_core.MaxMinProductRow(chunk.sampled_row(i),
+                                             chunk.value_row(i));
+  };
+  DifferenceAccumulator l1_total;
+  for (const auto& batch : pair_batches) {
+    DifferenceAccumulator shard;
+    shard.AddBatch(**kx, **ky, batch, cross);
+    l1_total.Merge(shard);
+  }
+  const IntervalEstimate want_l1 = l1_total.Interval();
+
+  // Distinct union of three unit-weight instances with a uniform tau.
+  SketchStoreOptions set_options;
+  set_options.num_shards = 4;
+  set_options.default_tau = 1.0 / 0.3;
+  set_options.salt = 808;
+  SketchStore sets(set_options);
+  for (uint64_t key = 1; key <= 3000; ++key) {
+    if (key % 2 == 0) sets.Update(0, key, 1.0);
+    if (key % 3 == 0) sets.Update(1, key, 1.0);
+    if (key % 5 != 0) sets.Update(2, key, 1.0);
+  }
+  const auto unit = sets.Snapshot();
+  const double tau = set_options.default_tau;
+  const auto or_batches = TwoLookupBatches(*unit, {0, 1, 2});
+  const KernelSpec or_ht{Function::kOr, Scheme::kPps, Regime::kKnownSeeds,
+                         Family::kHt};
+  const KernelSpec or_l{Function::kOr, Scheme::kPps, Regime::kKnownSeeds,
+                        Family::kL};
+  const IntervalEstimate want_or_ht =
+      ScanBatches(or_batches, or_ht, {tau, tau, tau});
+  const IntervalEstimate want_or_l =
+      ScanBatches(or_batches, or_l, {tau, tau, tau});
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    QueryServiceOptions options;
+    options.num_threads = threads;
+    const auto max_dom = QueryService(weighted, options).MaxDominance(0, 1);
+    ASSERT_TRUE(max_dom.ok());
+    EXPECT_TRUE(SameBits(max_dom->ht, want_ht));
+    EXPECT_TRUE(SameBits(max_dom->l, want_l));
+    const auto l1 = QueryService(weighted, options).L1Distance(0, 1);
+    ASSERT_TRUE(l1.ok());
+    EXPECT_TRUE(SameBits(*l1, want_l1));
+    const auto distinct =
+        QueryService(unit, options).DistinctUnion({0, 1, 2});
+    ASSERT_TRUE(distinct.ok());
+    EXPECT_TRUE(SameBits(distinct->ht, want_or_ht));
+    EXPECT_TRUE(SameBits(distinct->l, want_or_l));
+  }
 }
 
 }  // namespace
