@@ -3,11 +3,8 @@
 //
 //  * BM_AccuracyScanPlain      -- point-only serving scan (EstimateSum over
 //    the hot weighted max^(L) r=2 kernel);
-//  * BM_AccuracyScanTwoPass    -- the pre-fusion with-variance layout: one
-//    EstimateMany plus one EstimateSecondMomentMany slab pass per chunk
-//    (kept as the fused path's regression baseline);
-//  * BM_AccuracyScanFused      -- the served with-variance scan: one fused
-//    EstimateWithVarianceMany pass per chunk (AccuracyAccumulator);
+//  * BM_AccuracyScanFused      -- the served with-variance scan: one
+//    with-variance Scan pass per chunk (AccuracyAccumulator);
 //  * BM_AccuracyParallelScan/N -- the deterministic multi-threaded driver
 //    over a multi-megabyte batch at N worker threads (bitwise-identical
 //    results across N; see engine/parallel_scan.h);
@@ -17,8 +14,7 @@
 // Every timing loop is preceded by an explicit warmup pass (kernel memo,
 // page-in, branch predictors), and benchmarks run kRepetitions times with
 // CI extracting the best repetition -- BENCH_accuracy.json trajectories
-// compare best-of-N, not first-run noise. CI fails the bench-smoke job if
-// the fused rate drops below the two-pass rate it replaced.
+// compare best-of-N, not first-run noise.
 
 #include <benchmark/benchmark.h>
 
@@ -70,46 +66,6 @@ void BM_AccuracyScanPlain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kKeys);
 }
 BENCHMARK(BM_AccuracyScanPlain)->Repetitions(kRepetitions);
-
-/// The pre-fusion with-variance scan, reproduced operation for operation:
-/// two virtual slab passes per chunk, then a per-key combine loop feeding
-/// the running sum, the variance estimate, and the Welford per-key
-/// moments -- exactly the AccuracyAccumulator::AddBatch layout before
-/// EstimateWithVarianceMany existed. The fused path must never be slower
-/// than this (CI-enforced).
-double TwoPassScan(const EstimatorKernel& kernel, const OutcomeBatch& batch) {
-  double est[kScanChunkRows];
-  double second[kScanChunkRows];
-  const BatchView view = batch.view();
-  double sum = 0.0, variance = 0.0;
-  MomentAccumulator per_key;
-  for (int start = 0; start < view.size; start += kScanChunkRows) {
-    const BatchView chunk = view.Slice(
-        start, view.size - start < kScanChunkRows ? view.size - start
-                                                  : kScanChunkRows);
-    kernel.EstimateMany(chunk, est);
-    kernel.EstimateSecondMomentMany(chunk, second);
-    for (int i = 0; i < chunk.size; ++i) {
-      sum += est[i];
-      variance += est[i] * est[i] - second[i];
-      per_key.Add(est[i]);
-    }
-  }
-  benchmark::DoNotOptimize(variance);
-  benchmark::DoNotOptimize(per_key);
-  return sum;
-}
-
-void BM_AccuracyScanTwoPass(benchmark::State& state) {
-  const OutcomeBatch batch = MakeServingBatch(kKeys);
-  const KernelHandle kernel = ServingKernel();
-  benchmark::DoNotOptimize(TwoPassScan(*kernel, batch));  // warmup
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(TwoPassScan(*kernel, batch));
-  }
-  state.SetItemsProcessed(state.iterations() * kKeys);
-}
-BENCHMARK(BM_AccuracyScanTwoPass)->Repetitions(kRepetitions);
 
 void BM_AccuracyScanFused(benchmark::State& state) {
   const OutcomeBatch batch = MakeServingBatch(kKeys);

@@ -106,7 +106,7 @@ BENCHMARK(BM_MaxLWeightedVarianceQuadrature);
 //  * EnginePerCall pays one memoized engine lookup (mutex + map) plus a
 //    virtual Estimate per key;
 //  * EngineBatch resolves the kernel once per batch and drives one
-//    EstimateMany pass over the columnar slabs.
+//    point-only Scan pass over the columnar slabs.
 // The acceptance bar: the batch path is at least as fast per estimate as
 // either per-call loop.
 // ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ BENCHMARK(BM_MaxLUniformEngineBatch);
 // refactor's acceptance comparison. Same memoized kernels (max^(L) and
 // OR^(L), r = 2), same outcomes; Scalar drives one virtual Estimate per
 // key over scalar Outcome structs (the pre-columnar hot path), Batched
-// drives one EstimateMany per kernel over the columnar slabs. CI's
+// drives one point-only Scan per kernel over the columnar slabs. CI's
 // bench-smoke job extracts both keys/s rates and their ratio into
 // BENCH_core.json (scalar_keys_per_s / batched_keys_per_s / speedup).
 // ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ void BM_CoreScanR2Batched(benchmark::State& state) {
 BENCHMARK(BM_CoreScanR2Batched);
 
 // ---------------------------------------------------------------------------
-// Pattern-partitioned SIMD slab scan: one EstimateMany pass over the
+// Pattern-partitioned SIMD slab scan: one point-only Scan pass over the
 // weighted r = 2 max^(L) kernel -- the serving path's hot kernel, whose
 // batched override partitions each 256-row block by sampling pattern and
 // evaluates each bucket branch-free (auto-vectorized under PIE_SIMD; the

@@ -70,7 +70,7 @@ int main() {
 
   // Repeat many times, estimating the whole batch with each kernel: both
   // are unbiased, L has much lower variance. The batch stores outcomes
-  // columnar, so each kernel's EstimateMany streams flat slabs.
+  // columnar, so each kernel's Scan streams flat slabs in one virtual call.
   pie::OutcomeBatch batch;
   batch.Reset(pie::Scheme::kOblivious, /*r=*/2);
   for (int trial = 0; trial < 200000; ++trial) {

@@ -10,7 +10,7 @@ void AccuracyAccumulator::AddBatchImpl(const EstimatorKernel& kernel,
                                        bool with_variance, int num_threads) {
   // One fused pass per fixed-size chunk through the deterministic driver:
   // the point estimate and the per-key variance estimate come out of the
-  // same slab loop (EstimateWithVarianceMany), and the chunk partials
+  // same slab loop (one Scan call), and the chunk partials
   // tree-reduce in a fixed shape -- so sum() is bitwise identical to
   // EstimateSum(kernel, batch) and independent of num_threads.
   ScanOptions options;

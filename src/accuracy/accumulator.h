@@ -6,7 +6,7 @@
 // variances, and each key's variance has the unbiased estimate
 //   Var-hat(key) = Estimate(o)^2 - EstimateSecondMoment(o)
 // (E[est^2] - f^2 = Var[est]; see kernel.h). An AccuracyAccumulator drives
-// the kernel's FUSED EstimateWithVarianceMany pass through the
+// the kernel's with-variance Scan through the
 // deterministic scan driver (engine/parallel_scan.h): the batch is split
 // into fixed-size chunks -- each scanned once, paying for the row data a
 // single time instead of the two slab passes of the pre-fusion layout --
@@ -125,9 +125,9 @@ class DifferenceAccumulator {
       const BatchView chunk = view.Slice(
           start, view.size - start < kScanChunkRows ? view.size - start
                                                     : kScanChunkRows);
+      kx.Scan(chunk, ex, with_variance ? vx : nullptr);
+      ky.Scan(chunk, ey, with_variance ? vy : nullptr);
       if (with_variance) {
-        kx.EstimateWithVarianceMany(chunk, ex, vx);
-        ky.EstimateWithVarianceMany(chunk, ey, vy);
         for (int i = 0; i < chunk.size; ++i) {
           sum_x_ += ex[i];
           sum_y_ += ey[i];
@@ -136,8 +136,6 @@ class DifferenceAccumulator {
           cross_ += cross_fn(chunk, i, ex[i], ey[i]);
         }
       } else {
-        kx.EstimateMany(chunk, ex);
-        ky.EstimateMany(chunk, ey);
         for (int i = 0; i < chunk.size; ++i) {
           sum_x_ += ex[i];
           sum_y_ += ey[i];

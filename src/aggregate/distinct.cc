@@ -7,7 +7,6 @@
 
 #include "accuracy/selector.h"
 #include "engine/engine.h"
-#include "store/query_service.h"
 #include "store/sketch_store.h"
 #include "util/check.h"
 
@@ -268,17 +267,6 @@ double DistinctLVariance(double distinct, double jaccard, double p1,
   const double both = distinct * jaccard;
   const double only = distinct - both;
   return both * w.v11 + 0.5 * only * (w.v10 + w.v01);
-}
-
-DualInterval EstimateDistinctUnionWithCi(const StoreSnapshot& snapshot,
-                                         const std::vector<int>& instances,
-                                         const CiPolicy& policy) {
-  QueryServiceOptions options;
-  options.ci = policy;
-  const auto est =
-      QueryService::Borrowed(snapshot, options).DistinctUnion(instances);
-  PIE_CHECK_OK(est.status());
-  return *est;
 }
 
 }  // namespace pie

@@ -69,7 +69,7 @@ DistinctMultiEstimates EstimateDistinctMulti(
   PIE_CHECK_OK(or_ht.status());
 
   // Per-class weights from one columnar batch of representative rows (row
-  // z has z sampled zeros), evaluated with a single EstimateMany pass per
+  // z has z sampled zeros), evaluated with a single point-only Scan per
   // kernel; the engine's memoized kernel amortizes the Theorem 4.2
   // prefix-sum table. The HT weight is the all-sampled row z = r - 1.
   OutcomeBatch reps;

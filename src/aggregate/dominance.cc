@@ -72,12 +72,6 @@ QueryServiceOptions PointOnlyOptions() {
   return options;
 }
 
-QueryServiceOptions CiOptions(const CiPolicy& policy) {
-  QueryServiceOptions options;
-  options.ci = policy;
-  return options;
-}
-
 }  // namespace
 
 MaxDominanceEstimates EstimateMaxDominance(const StoreSnapshot& snapshot,
@@ -88,28 +82,11 @@ MaxDominanceEstimates EstimateMaxDominance(const StoreSnapshot& snapshot,
   return {est->ht.estimate, est->l.estimate};
 }
 
-DualInterval EstimateMaxDominanceWithCi(const StoreSnapshot& snapshot, int i1,
-                                        int i2, const CiPolicy& policy) {
-  const auto est =
-      QueryService::Borrowed(snapshot, CiOptions(policy)).MaxDominance(i1, i2);
-  PIE_CHECK_OK(est.status());
-  return *est;
-}
-
 double EstimateL1Distance(const StoreSnapshot& snapshot, int i1, int i2) {
   const auto est =
       QueryService::Borrowed(snapshot, PointOnlyOptions()).L1Distance(i1, i2);
   PIE_CHECK_OK(est.status());
   return est->estimate;
-}
-
-IntervalEstimate EstimateL1DistanceWithCi(const StoreSnapshot& snapshot,
-                                          int i1, int i2,
-                                          const CiPolicy& policy) {
-  const auto est =
-      QueryService::Borrowed(snapshot, CiOptions(policy)).L1Distance(i1, i2);
-  PIE_CHECK_OK(est.status());
-  return *est;
 }
 
 MaxDominanceVariance AnalyticMaxDominanceVariance(

@@ -7,7 +7,7 @@
 // std::function indirection per key; thin std::function overloads are kept
 // for convenience and null-predicate ("all keys") call sites. Each scan
 // assembles the union of sampled keys into one columnar OutcomeBatch and
-// drives every kernel's EstimateMany once over the slabs.
+// drives every kernel's Scan once over the slabs.
 
 #pragma once
 
@@ -97,7 +97,7 @@ MaxDominanceEstimates EstimateMaxDominance(const PpsInstanceSketch& s1,
   PIE_CHECK_OK(l.status());
 
   // Assemble the union of sampled keys once into columnar slabs, then run
-  // each memoized kernel's EstimateMany over them -- no per-key estimator
+  // each memoized kernel's Scan over them -- no per-key estimator
   // setup, dispatch, or allocation.
   OutcomeBatch batch;
   batch.Reset(Scheme::kPps, 2);
@@ -181,16 +181,6 @@ double EstimateL1Distance(const PpsInstanceSketch& s1,
 MaxDominanceEstimates EstimateMaxDominance(const StoreSnapshot& snapshot,
                                            int i1, int i2);
 double EstimateL1Distance(const StoreSnapshot& snapshot, int i1, int i2);
-
-/// The same snapshot aggregates with error bars from the accuracy layer:
-/// per-key unbiased variance estimates accumulated in the same columnar
-/// scan (see src/accuracy/). The point estimates are bitwise identical to
-/// the plain variants above.
-DualInterval EstimateMaxDominanceWithCi(const StoreSnapshot& snapshot, int i1,
-                                        int i2, const CiPolicy& policy = {});
-IntervalEstimate EstimateL1DistanceWithCi(const StoreSnapshot& snapshot,
-                                          int i1, int i2,
-                                          const CiPolicy& policy = {});
 
 /// Exact (analytic) variances of the max-dominance estimators on a two-
 /// instance data set: per-key variance formulas summed over keys

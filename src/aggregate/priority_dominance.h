@@ -57,7 +57,7 @@ PrioritySketch FromStreamingBottomk(const StreamingBottomkSketch& stream);
 /// Rank conditioning gives each key one of four (tau1, tau2) combinations
 /// (inclusion vs exclusion threshold per sketch), so keys are binned into
 /// one columnar batch per combination and each combination's memoized
-/// kernels run one EstimateMany pass over their batch; the old code
+/// kernels run one Scan pass over their batch; the old code
 /// rebuilt both weighted estimators for every key.
 template <typename Pred,
           typename = aggregate_internal::EnableIfKeyPredicate<Pred>>

@@ -37,7 +37,7 @@ class MaxLTwo {
   double Estimate(const ObliviousOutcome& outcome) const;
 
   /// Estimate from one columnar row (length-2 sampled/value arrays). The
-  /// scalar Estimate and the engine's batched EstimateMany both route
+  /// scalar Estimate and the engine's batched Scan both route
   /// through this, so the two paths are bitwise-identical by construction.
   double EstimateRow(const uint8_t* sampled, const double* value) const {
     const bool s1 = sampled[0] != 0;

@@ -72,7 +72,7 @@ void EstimateBatch(const EstimatorKernel& kernel, const OutcomeBatch& batch,
   PIE_CHECK(out != nullptr);
   out->clear();
   out->resize(static_cast<size_t>(batch.size()));
-  kernel.EstimateMany(batch.view(), out->data());
+  kernel.Scan(batch.view(), out->data(), nullptr);
 }
 
 double EstimateSum(const EstimatorKernel& kernel, const OutcomeBatch& batch,

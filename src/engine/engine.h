@@ -13,7 +13,7 @@
 // OutcomeBatch stores outcomes columnar (one value/threshold/seed/
 // sampled-mask slab each, reused across Clear() calls) so a steady-state
 // scan allocates nothing; and EstimateBatch/EstimateSum drive the kernel's
-// EstimateMany -- one virtual call per batch, with the hot kernels looping
+// Scan -- one virtual call per batch, with the hot kernels looping
 // branch-light over the slabs (see kernel.h).
 //
 // Typical use:
@@ -22,7 +22,7 @@
 //   KernelHandle l = engine.Kernel(l_spec, params).value();
 //   batch.Reset(Scheme::kPps, /*r=*/2);           // fix the row layout
 //   for (key : keys) AppendPairOutcome(s1, s2, key, &batch);
-//   double ht_sum = EstimateSum(*ht, batch);  // one EstimateMany pass per
+//   double ht_sum = EstimateSum(*ht, batch);  // one point-only Scan per
 //   double l_sum = EstimateSum(*l, batch);    // kernel, slabs assembled once
 
 #pragma once
@@ -108,7 +108,7 @@ class OutcomeBatch {
   }
 
   /// Borrowed columnar view of the whole batch, the input to
-  /// EstimatorKernel::EstimateMany. Invalidated by any append or Reset.
+  /// EstimatorKernel::Scan. Invalidated by any append or Reset.
   BatchView view() const;
 
   /// Materializes row i as a scalar Outcome, reusing out's inner vectors'
@@ -136,7 +136,7 @@ class OutcomeBatch {
   std::vector<uint8_t> sampled_;
 };
 
-/// Applies the kernel to every row via one EstimateMany call, replacing
+/// Applies the kernel to every row via one point-only Scan call, replacing
 /// `out`'s contents (capacity is reused across calls).
 void EstimateBatch(const EstimatorKernel& kernel, const OutcomeBatch& batch,
                    std::vector<double>* out);

@@ -93,14 +93,6 @@ void CheckBatchLayout(const BatchView& batch, Scheme scheme, int r) {
   PIE_CHECK(batch.r == r);
 }
 
-void EstimatorKernel::EstimateMany(BatchView batch, double* out) const {
-  Outcome scratch;
-  for (int i = 0; i < batch.size; ++i) {
-    ExtractRow(batch, i, &scratch);
-    out[i] = Estimate(scratch);
-  }
-}
-
 double EstimatorKernel::EstimateSecondMoment(const Outcome& outcome) const {
   // Weight-oblivious sampling is value-independent, so the outcome of the
   // squared data vector is this outcome with sampled values squared; the
@@ -119,24 +111,16 @@ double EstimatorKernel::EstimateSecondMoment(const Outcome& outcome) const {
   return Estimate(squared);
 }
 
-void EstimatorKernel::EstimateSecondMomentMany(BatchView batch,
-                                               double* out) const {
+void EstimatorKernel::Scan(BatchView batch, double* est, double* var) const {
+  // The scalar reference every override must reproduce bit for bit:
+  // est from Estimate, var = est * est - second moment, in that order.
   Outcome scratch;
   for (int i = 0; i < batch.size; ++i) {
     ExtractRow(batch, i, &scratch);
-    out[i] = EstimateSecondMoment(scratch);
-  }
-}
-
-void EstimatorKernel::EstimateWithVarianceMany(BatchView batch, double* est,
-                                               double* var) const {
-  // Bridge: the two batched passes, combined in place. Fused overrides
-  // must reproduce exactly this arithmetic (est from the EstimateMany
-  // core, var = est * est - second moment, in that operation order).
-  EstimateMany(batch, est);
-  EstimateSecondMomentMany(batch, var);
-  for (int i = 0; i < batch.size; ++i) {
-    var[i] = est[i] * est[i] - var[i];
+    est[i] = Estimate(scratch);
+    if (var != nullptr) {
+      var[i] = est[i] * est[i] - EstimateSecondMoment(scratch);
+    }
   }
 }
 

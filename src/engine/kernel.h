@@ -136,7 +136,7 @@ struct Outcome {
 ///   seed    : seeds u_i (PPS layouts only; nullptr for oblivious)
 ///   sampled : 1 iff entry is in the sample
 ///   value   : v_i, meaningful only where sampled
-/// Produced by OutcomeBatch::view() (engine.h); consumed by EstimateMany.
+/// Produced by OutcomeBatch::view() (engine.h); consumed by Scan.
 struct BatchView {
   Scheme scheme = Scheme::kOblivious;
   int r = 0;
@@ -183,12 +183,12 @@ struct BatchView {
 
 /// Materializes row i of a view as a scalar Outcome (reusing out's inner
 /// vectors' capacity) -- the bridge from columnar rows back to the scalar
-/// Estimate API, used by the default EstimateMany loop.
+/// Estimate API, used by the default Scan loop.
 void ExtractRow(const BatchView& batch, int i, Outcome* out);
 
 /// Aborts unless the view's layout matches what a kernel was constructed
-/// for; kernel EstimateMany overrides call this once per batch in place of
-/// the per-outcome scheme/width checks of the scalar path.
+/// for; kernel Scan overrides call this once per batch in place of the
+/// per-outcome scheme/width checks of the scalar path.
 void CheckBatchLayout(const BatchView& batch, Scheme scheme, int r);
 
 /// Estimates one key's f(v) contribution from an outcome. Thread-safe after
@@ -200,19 +200,6 @@ class EstimatorKernel {
   /// Unbiased estimate of f(v) from one outcome. The outcome's scheme must
   /// match the kernel's spec.
   virtual double Estimate(const Outcome& outcome) const = 0;
-
-  /// Estimates every row of a columnar batch into out[0..batch.size).
-  /// The base implementation materializes each row and loops the scalar
-  /// Estimate; hot kernels override it with tight loops over the slabs.
-  /// Overrides MUST be bitwise-identical to the scalar path (the registry
-  /// sweep in tests/batch_equivalence_test.cc enforces this), so batched
-  /// drivers inherit the determinism guarantees of the per-key API.
-  /// A kernel should override EstimateMany when per-key estimation is cheap
-  /// enough that virtual dispatch, per-outcome layout checks, and per-key
-  /// vector indirection dominate (closed-form r = 2 estimators, HT, the
-  /// Theorem 4.2 recursion); kernels whose per-key cost is inherently large
-  /// (quadrature, enumeration) gain nothing from an override.
-  virtual void EstimateMany(BatchView batch, double* out) const;
 
   /// Unbiased estimate of f(v)^2 from one outcome: E over outcomes of the
   /// returned value equals f(v)^2 for every data vector. Together with the
@@ -233,29 +220,30 @@ class EstimatorKernel {
   /// core/min_weighted.h) and the OR binary identity f^2 = f.
   virtual double EstimateSecondMoment(const Outcome& outcome) const;
 
-  /// Batched second moments into out[0..batch.size), mirroring
-  /// EstimateMany. The base implementation materializes rows onto the
-  /// scalar EstimateSecondMoment; hot kernels override with slab loops.
-  /// Overrides MUST be bitwise-identical to the scalar path (enforced by
-  /// the registry sweep in tests/accuracy_test.cc).
-  virtual void EstimateSecondMomentMany(BatchView batch, double* out) const;
-
-  /// Fused single-pass batch scan: est[i] receives the point estimate and
-  /// var[i] the unbiased per-key variance estimate
-  ///   var[i] = est[i]^2 - second_moment[i]
-  /// for every row. This is the accuracy layer's hot call: a with-variance
-  /// scan pays for the row data once instead of driving EstimateMany and
-  /// EstimateSecondMomentMany as two separate slab passes.
+  /// The one batched call: est[i] receives row i's point estimate and,
+  /// when `var` is not null, var[i] its unbiased per-key variance estimate
+  ///   var[i] = est[i]^2 - EstimateSecondMoment(row i)
+  /// for every row of the columnar batch. A null `var` asks for point
+  /// estimates only, and overrides skip the second-moment work entirely.
   ///
-  /// The base implementation bridges the two batched calls (second moments
-  /// are computed into var, then combined in place), so every kernel
-  /// serves the fused API. Hot kernels override it with single-load slab
-  /// loops that share the inline EstimateRow cores; overrides MUST stay
-  /// bitwise-identical to the two-pass bridge (same estimates, same
-  /// e*e - second combination), which the registry sweep in
-  /// tests/parallel_scan_test.cc enforces.
-  virtual void EstimateWithVarianceMany(BatchView batch, double* est,
-                                        double* var) const;
+  /// The base implementation materializes each row and calls the scalar
+  /// Estimate / EstimateSecondMoment. Hot kernels override it with tight
+  /// loops over the slabs that share the inline EstimateRow cores; every
+  /// override MUST be bitwise identical to that scalar reference, in both
+  /// modes, so batched drivers inherit the determinism guarantees of the
+  /// per-key API (the registry sweep in tests/scan_equivalence_test.cc
+  /// enforces it). Override when per-key estimation is cheap enough that
+  /// virtual dispatch, per-outcome layout checks, and per-key vector
+  /// indirection dominate (closed-form r = 2 estimators, HT, the Theorem
+  /// 4.2 recursion); kernels whose per-key cost is inherently large
+  /// (quadrature, enumeration) gain nothing from an override.
+  virtual void Scan(BatchView batch, double* est, double* var) const;
+
+  /// Point estimates of every row into out[0..batch.size): Scan without
+  /// the variance.
+  void EstimateMany(BatchView batch, double* out) const {
+    Scan(batch, out, nullptr);
+  }
 
   /// Exact variance on a data vector, where core provides a closed form /
   /// enumeration; Unimplemented otherwise.

@@ -125,8 +125,8 @@ ScanPartial ScanBatch(const EstimatorKernel& kernel, BatchView view,
     double var[kScanChunkRows];
     ScanPartial& partial = *out;
     double sum = 0.0;
+    kernel.Scan(chunk, est, with_variance ? var : nullptr);
     if (with_variance) {
-      kernel.EstimateWithVarianceMany(chunk, est, var);
       double variance = 0.0;
       for (int i = 0; i < chunk.size; ++i) {
         sum += est[i];
@@ -134,7 +134,6 @@ ScanPartial ScanBatch(const EstimatorKernel& kernel, BatchView view,
       }
       partial.variance = variance;
     } else {
-      kernel.EstimateMany(chunk, est);
       for (int i = 0; i < chunk.size; ++i) sum += est[i];
     }
     partial.sum = sum;
@@ -163,7 +162,7 @@ double ScanSum(const EstimatorKernel& kernel, BatchView view,
                                   [&](int c, SumPartial* out) {
                                     const BatchView chunk = Chunk(view, c);
                                     double est[kScanChunkRows];
-                                    kernel.EstimateMany(chunk, est);
+                                    kernel.Scan(chunk, est, nullptr);
                                     double sum = 0.0;
                                     for (int i = 0; i < chunk.size; ++i) {
                                       sum += est[i];

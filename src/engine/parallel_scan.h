@@ -8,8 +8,8 @@
 //
 //  * the view is split into FIXED-size chunks of kScanChunkRows rows
 //    (independent of the thread count), and each chunk's partial is
-//    computed by exactly one worker with the kernel's fused
-//    EstimateWithVarianceMany pass, rows accumulated in row order;
+//    computed by exactly one worker with one Scan call of the kernel
+//    (estimates and variances together), rows accumulated in row order;
 //  * the per-chunk partials are combined after the join by a FIXED-SHAPE
 //    pairwise (tree) reduction over the chunk index -- the shape depends
 //    only on the number of chunks, never on which thread produced which
@@ -58,8 +58,8 @@ struct ScanOptions {
   /// the process-wide persistent WorkerPool, whose size is the global
   /// ceiling. The result bits never depend on this value.
   int num_threads = 1;
-  /// When false the scan skips the variance pass entirely (plain
-  /// EstimateMany per chunk); ScanPartial::variance stays 0.
+  /// When false the scan asks the kernel for point estimates only (Scan
+  /// with a null variance output); ScanPartial::variance stays 0.
   bool with_variance = true;
 };
 

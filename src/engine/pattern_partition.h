@@ -18,24 +18,18 @@
 //
 // Stability matters only for cache-friendliness (buckets walk the block in
 // row order); correctness never depends on it, because results land in
-// per-row output slots. Bitwise equality with the scalar fallback is
-// enforced registry-wide by tests/simd_partition_test.cc and
-// tests/parallel_scan_test.cc: the bucket loops replicate the scalar
-// path's floating-point expression trees exactly (hoisting only
-// row-invariant subexpressions, which is value-preserving), so
-// partitioned execution produces identical bytes.
+// per-row output slots. Bitwise equality with the scalar path is enforced
+// registry-wide by tests/batch_equivalence_test.cc: the bucket loops
+// replicate the scalar path's floating-point expression trees exactly
+// (hoisting only row-invariant subexpressions, which is value-preserving),
+// so partitioned execution produces identical bytes.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
-#include "engine/simd_dispatch.h"
 #include "obs/metrics.h"
-
-#ifdef PIE_SIMD_AVX512
-#include "engine/simd_avx512.h"
-#endif
 
 namespace pie {
 
@@ -43,6 +37,10 @@ namespace pie {
 /// a driver chunk is exactly one block; kernels fed larger batches split
 /// them into blocks of this size internally.
 inline constexpr int kPartitionBlockRows = 256;
+
+/// How far ahead of the block being evaluated, in rows, the block loops
+/// software-prefetch slab lines (see PrefetchBytes).
+inline constexpr int kPrefetchRows = 256;
 
 /// Stable partition of an r=2 block by pattern code
 /// sampled_0 + 2 * sampled_1: bucket 0 = neither entry sampled,
@@ -158,52 +156,29 @@ inline void PartitionAnySampled(const uint8_t* sampled, int r, int n,
 }
 
 /// Gathers column `col` of the row-major slab (r doubles per row) for the
-/// `n` rows in `idx` into the dense array `out`. Under the AVX-512 tier
-/// the index-indirect loads run as native vgatherdpd (8 rows per step);
-/// either way the doubles are moved untouched, so the tier cannot change a
-/// bit. The n >= 8 floor skips the out-of-line call for tiny buckets.
+/// `n` rows in `idx` into the dense array `out`.
 inline void GatherColumn(const double* slab, int r, int col,
                          const uint16_t* idx, int n, double* out) {
-#ifdef PIE_SIMD_AVX512
-  if (n >= 8 && UseAvx512Tier()) {
-    avx512::GatherColumn(slab, r, col, idx, n, out);
-    return;
-  }
-#endif
   for (int k = 0; k < n; ++k) {
     out[k] = slab[static_cast<size_t>(idx[k]) * static_cast<size_t>(r) + col];
   }
 }
 
-/// Scatters the dense values `in` back to the row-indexed slots of `out`
-/// (native vscatterdpd under the AVX-512 tier; bucket indices are
-/// distinct, so scatter-ordering semantics never matter).
+/// Scatters the dense values `in` back to the row-indexed slots of `out`.
 inline void Scatter(const double* in, const uint16_t* idx, int n,
                     double* out) {
-#ifdef PIE_SIMD_AVX512
-  if (n >= 8 && UseAvx512Tier()) {
-    avx512::Scatter(in, idx, n, out);
-    return;
-  }
-#endif
   for (int k = 0; k < n; ++k) out[idx[k]] = in[k];
 }
 
 /// Writes `v` to every row slot of `out` named by `idx`.
 inline void ScatterConstant(double v, const uint16_t* idx, int n,
                             double* out) {
-#ifdef PIE_SIMD_AVX512
-  if (n >= 8 && UseAvx512Tier()) {
-    avx512::ScatterConstant(v, idx, n, out);
-    return;
-  }
-#endif
   for (int k = 0; k < n; ++k) out[idx[k]] = v;
 }
 
 /// Issues one software prefetch per 64-byte line over [p, p + bytes):
 /// non-temporal-read hint into the low cache levels for slab rows the
-/// gather loops will touch `PrefetchDistanceRows()` rows from now.
+/// gather loops will touch kPrefetchRows rows from now.
 inline void PrefetchBytes(const void* p, size_t bytes) {
   const char* c = static_cast<const char*>(p);
   for (size_t off = 0; off < bytes; off += 64) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -52,23 +53,73 @@ Status RequireBinary(const std::vector<double>& values) {
   return Status::OK();
 }
 
-#ifdef PIE_SIMD
 // ---------------------------------------------------------------------------
-// Pattern-partitioned branch-free block loops (the PIE_SIMD fast paths).
+// The two batch paths behind every kernel's Scan.
 //
-// Batches are processed in blocks of kPartitionBlockRows rows: each block
-// is partitioned into stable index buckets by sampling pattern
-// (engine/pattern_partition.h), every bucket's rows are gathered into
-// dense columns and evaluated by ONE closed form with no data-dependent
-// branches -- so the compiler can auto-vectorize the lane loops (the AVX2
-// and if-conversion flags ride on pie_build_flags; see the PIE_SIMD block
-// in CMakeLists.txt) -- then scattered back to row-indexed outputs. Each
-// form hoists only row-invariant coefficients and otherwise replicates
-// the scalar estimator's floating-point expression tree operation for
-// operation; the bitwise contract (batched == scalar, SIMD == fallback,
-// any thread count) is enforced registry-wide by
-// tests/simd_partition_test.cc and tests/parallel_scan_test.cc.
+// The scalar path is ONE row loop (ScanRows) over the kernel's row core,
+// the inline EstimateRow / SecondMomentRow helpers its scalar Estimate /
+// EstimateSecondMoment also call. PIE_SIMD=OFF builds scan through it.
+//
+// PIE_SIMD builds scan the hot kernels through pattern-partitioned block
+// loops instead: each block of kPartitionBlockRows rows is split into
+// stable buckets by sampling pattern (engine/pattern_partition.h), and
+// every bucket is gathered into dense columns and evaluated by ONE
+// branch-free closed form the compiler auto-vectorizes (see the PIE_SIMD
+// block in CMakeLists.txt), then scattered back. Each form hoists only
+// row-invariant coefficients and otherwise replicates the scalar
+// expression tree operation for operation.
+//
+// Both paths are instantiated per mode through DispatchMode, so a
+// point-only scan carries no second-moment work; with the variance they
+// combine var = e*e - second in that operation order. The bitwise contract
+// is enforced registry-wide by tests/batch_equivalence_test.cc.
 // ---------------------------------------------------------------------------
+
+/// Whether kernels with a partitioned block form scan through it.
+#ifdef PIE_SIMD
+inline constexpr bool kPartitionedScan = true;
+#else
+inline constexpr bool kPartitionedScan = false;
+#endif
+
+/// Calls scan(std::true_type()) when the caller asked for variances (var
+/// is not null), scan(std::false_type()) otherwise; the scan bodies read
+/// the mode as a constant (decltype(mode)::value).
+template <typename ScanFn>
+void DispatchMode(const double* var, const ScanFn& scan) {
+  if (var != nullptr) {
+    scan(std::true_type());
+  } else {
+    scan(std::false_type());
+  }
+}
+
+/// The scalar batch path. `row(i, second)` returns row i's estimate and,
+/// when `second` is not null, stores the row's second moment there.
+template <typename Row>
+void ScanRows(const BatchView& batch, double* est, double* var,
+              const Row& row) {
+  DispatchMode(var, [&](auto mode) {
+    constexpr bool kWithVar = decltype(mode)::value;
+    for (int i = 0; i < batch.size; ++i) {
+      double second = 0.0;
+      est[i] = row(i, kWithVar ? &second : nullptr);
+      if constexpr (kWithVar) var[i] = est[i] * est[i] - second;
+    }
+  });
+}
+
+/// Squares the sampled entries of a length-r row into `out` (unsampled
+/// slots are copied through untouched; the estimators never read them, but
+/// copying keeps the row well-formed). The slab-loop twin of the base
+/// EstimateSecondMoment's squared-outcome bridge: x * x on the same lanes,
+/// so the batched and scalar second-moment paths stay bitwise identical.
+inline void SquareSampledRow(const uint8_t* sampled, const double* value,
+                             int r, double* out) {
+  for (int i = 0; i < r; ++i) {
+    out[i] = sampled[i] ? value[i] * value[i] : value[i];
+  }
+}
 
 /// Vectorizable std::fmin(1.0, x). GCC will not auto-vectorize fmin on
 /// x86 (no vector optab for IEEE min), but with the first operand fixed at
@@ -78,17 +129,14 @@ Status RequireBinary(const std::vector<double>& values) {
 inline double Min1(double x) { return x < 1.0 ? x : 1.0; }
 
 /// Software-prefetches the slab rows a block loop will gather
-/// PrefetchDistanceRows() rows ahead of `base` (PIE_PREFETCH_DIST; 0
-/// disables). Scans past ~4 threads are memory-bound -- every key touches
-/// up to 4 slabs -- and the partition indirection defeats some hardware
-/// prefetch, so the block loops hint the next block's value/sampled (and
-/// for PPS kernels seed/param) lines ahead of use. Pure hints: no effect
-/// on results.
+/// kPrefetchRows rows ahead of `base`. Scans past ~4 threads are
+/// memory-bound -- every key touches up to 4 slabs -- and the partition
+/// indirection defeats some hardware prefetch, so the block loops hint the
+/// next block's value/sampled (and for PPS kernels seed/param) lines ahead
+/// of use. Pure hints: no effect on results.
 inline void PrefetchSlabsAhead(const BatchView& batch, int base, bool seeds,
                                bool params) {
-  const int dist = PrefetchDistanceRows();
-  if (dist <= 0) return;
-  const int ahead = base + dist;
+  const int ahead = base + kPrefetchRows;
   if (ahead >= batch.size) return;
   const int n = std::min(kPartitionBlockRows, batch.size - ahead);
   const size_t lanes =
@@ -163,122 +211,110 @@ struct OrLTwoForms {
   }
 };
 
-/// Applies an r=2 form set bucket by bucket over one partitioned block:
-/// rows with neither entry sampled estimate 0.
-template <typename Forms>
+/// OrUTwo is max^(U) on {0,1}: its forms are max^(U)'s.
+struct OrUTwoForms : MaxUTwoForms {
+  explicit OrUTwoForms(const OrUTwo& est) : MaxUTwoForms(est.max_u()) {}
+};
+
+/// One r=2 bucket's lanes: e = form(v0, v1) and, with the variance, the
+/// same form on squared lanes (the bucket twin of SquareSampledRow +
+/// EstimateRow) combined as w = e*e - second.
+template <bool kWithVar, typename Form>
+inline void R2Lanes(const Form& form, const double* v0, const double* v1,
+                    int n, double* e, double* w) {
+  for (int k = 0; k < n; ++k) {
+    e[k] = form(v0[k], v1[k]);
+    if constexpr (kWithVar) {
+      w[k] = e[k] * e[k] - form(v0[k] * v0[k], v1[k] * v1[k]);
+    }
+  }
+}
+
+/// Applies an r=2 form set bucket by bucket over one partitioned block
+/// (`est`/`var` point at the block's first row): rows with neither entry
+/// sampled estimate 0 with variance 0.
+template <bool kWithVar, typename Forms>
 void ApplyR2Forms(const double* value, const R2Partition& part,
-                  const Forms& f, double* out) {
+                  const Forms& f, double* est, double* var) {
   double v0[kPartitionBlockRows];
   double v1[kPartitionBlockRows];
   double e[kPartitionBlockRows];
-  ScatterConstant(0.0, part.idx[0], part.count[0], out);
+  double w[kPartitionBlockRows];
+  const auto emit = [&](int bucket) {
+    Scatter(e, part.idx[bucket], part.count[bucket], est);
+    if constexpr (kWithVar) {
+      Scatter(w, part.idx[bucket], part.count[bucket], var);
+    }
+  };
+  ScatterConstant(0.0, part.idx[0], part.count[0], est);
+  if constexpr (kWithVar) {
+    ScatterConstant(0.0, part.idx[0], part.count[0], var);
+  }
   GatherColumn(value, 2, 0, part.idx[1], part.count[1], v0);
-  for (int k = 0; k < part.count[1]; ++k) e[k] = f.Only0(v0[k]);
-  Scatter(e, part.idx[1], part.count[1], out);
+  R2Lanes<kWithVar>([&](double a, double) { return f.Only0(a); }, v0, v0,
+                    part.count[1], e, w);
+  emit(1);
   GatherColumn(value, 2, 1, part.idx[2], part.count[2], v1);
-  for (int k = 0; k < part.count[2]; ++k) e[k] = f.Only1(v1[k]);
-  Scatter(e, part.idx[2], part.count[2], out);
+  R2Lanes<kWithVar>([&](double, double b) { return f.Only1(b); }, v1, v1,
+                    part.count[2], e, w);
+  emit(2);
   GatherColumn(value, 2, 0, part.idx[3], part.count[3], v0);
   GatherColumn(value, 2, 1, part.idx[3], part.count[3], v1);
-  for (int k = 0; k < part.count[3]; ++k) e[k] = f.Both(v0[k], v1[k]);
-  Scatter(e, part.idx[3], part.count[3], out);
+  R2Lanes<kWithVar>([&](double a, double b) { return f.Both(a, b); }, v0, v1,
+                    part.count[3], e, w);
+  emit(3);
 }
 
-/// Estimate-only blocks for an r=2 oblivious kernel.
+/// Partitioned scan of an r=2 oblivious kernel.
 template <typename Forms>
-void R2EstimateBlocks(BatchView batch, const Forms& f, double* out) {
-  for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-    PrefetchSlabsAhead(batch, base, /*seeds=*/false, /*params=*/false);
-    const int n = std::min(kPartitionBlockRows, batch.size - base);
-    R2Partition part;
-    PartitionR2(batch.sampled_row(base), n, &part);
-    ApplyR2Forms(batch.value_row(base), part, f, out + base);
-  }
+void R2Blocks(BatchView batch, const Forms& f, double* est, double* var) {
+  DispatchMode(var, [&](auto mode) {
+    constexpr bool kWithVar = decltype(mode)::value;
+    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
+      PrefetchSlabsAhead(batch, base, /*seeds=*/false, /*params=*/false);
+      const int n = std::min(kPartitionBlockRows, batch.size - base);
+      R2Partition part;
+      PartitionR2(batch.sampled_row(base), n, &part);
+      ApplyR2Forms<kWithVar>(batch.value_row(base), part, f, est + base,
+                             kWithVar ? var + base : nullptr);
+    }
+  });
 }
 
-/// Second-moment blocks: the same forms on squared sampled lanes (the
-/// bucket twin of SquareSampledRow + EstimateRow).
-template <typename Forms>
-void R2SecondMomentBlocks(BatchView batch, const Forms& f, double* out) {
-  for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-    PrefetchSlabsAhead(batch, base, /*seeds=*/false, /*params=*/false);
-    const int n = std::min(kPartitionBlockRows, batch.size - base);
-    R2Partition part;
-    PartitionR2(batch.sampled_row(base), n, &part);
-    const double* value = batch.value_row(base);
-    double* out_block = out + base;
-    double v0[kPartitionBlockRows];
-    double v1[kPartitionBlockRows];
-    double e[kPartitionBlockRows];
-    ScatterConstant(0.0, part.idx[0], part.count[0], out_block);
-    GatherColumn(value, 2, 0, part.idx[1], part.count[1], v0);
-    for (int k = 0; k < part.count[1]; ++k) e[k] = f.Only0(v0[k] * v0[k]);
-    Scatter(e, part.idx[1], part.count[1], out_block);
-    GatherColumn(value, 2, 1, part.idx[2], part.count[2], v1);
-    for (int k = 0; k < part.count[2]; ++k) e[k] = f.Only1(v1[k] * v1[k]);
-    Scatter(e, part.idx[2], part.count[2], out_block);
-    GatherColumn(value, 2, 0, part.idx[3], part.count[3], v0);
-    GatherColumn(value, 2, 1, part.idx[3], part.count[3], v1);
-    for (int k = 0; k < part.count[3]; ++k) {
-      e[k] = f.Both(v0[k] * v0[k], v1[k] * v1[k]);
-    }
-    Scatter(e, part.idx[3], part.count[3], out_block);
+/// Scan for kernels whose surviving rows stay scalar. PIE_SIMD builds
+/// partition each block: rows routed to `rest` estimate exactly 0 with
+/// variance 0 (they skip the row core and its call machinery), the rest
+/// run `row` as in ScanRows. Other builds run ScanRows.
+template <typename PartitionFn, typename Row>
+void ScanSurvivors(BatchView batch, const PartitionFn& partition,
+                   bool prefetch_params, double* est, double* var,
+                   const Row& row) {
+  if (!kPartitionedScan) {
+    ScanRows(batch, est, var, row);
+    return;
   }
+  DispatchMode(var, [&](auto mode) {
+    constexpr bool kWithVar = decltype(mode)::value;
+    AllSampledPartition part;
+    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
+      PrefetchSlabsAhead(batch, base, /*seeds=*/false, prefetch_params);
+      const int n = std::min(kPartitionBlockRows, batch.size - base);
+      partition(batch.sampled_row(base), batch.r, n, &part);
+      ScatterConstant(0.0, part.rest, part.rest_count, est + base);
+      if constexpr (kWithVar) {
+        ScatterConstant(0.0, part.rest, part.rest_count, var + base);
+      }
+      for (int k = 0; k < part.count; ++k) {
+        const int i = base + part.idx[k];
+        double second = 0.0;
+        est[i] = row(i, kWithVar ? &second : nullptr);
+        if constexpr (kWithVar) var[i] = est[i] * est[i] - second;
+      }
+    }
+  });
 }
 
-/// Fused estimate + variance blocks: var = e*e - form(squared lanes),
-/// matching the fused scalar combine bit for bit.
-template <typename Forms>
-void R2FusedBlocks(BatchView batch, const Forms& f, double* est,
-                   double* var) {
-  for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-    PrefetchSlabsAhead(batch, base, /*seeds=*/false, /*params=*/false);
-    const int n = std::min(kPartitionBlockRows, batch.size - base);
-    R2Partition part;
-    PartitionR2(batch.sampled_row(base), n, &part);
-    const double* value = batch.value_row(base);
-    double* est_block = est + base;
-    double* var_block = var + base;
-    double v0[kPartitionBlockRows];
-    double v1[kPartitionBlockRows];
-    double e[kPartitionBlockRows];
-    double w[kPartitionBlockRows];
-    ScatterConstant(0.0, part.idx[0], part.count[0], est_block);
-    ScatterConstant(0.0, part.idx[0], part.count[0], var_block);
-    GatherColumn(value, 2, 0, part.idx[1], part.count[1], v0);
-    for (int k = 0; k < part.count[1]; ++k) {
-      const double ei = f.Only0(v0[k]);
-      const double si = f.Only0(v0[k] * v0[k]);
-      e[k] = ei;
-      w[k] = ei * ei - si;
-    }
-    Scatter(e, part.idx[1], part.count[1], est_block);
-    Scatter(w, part.idx[1], part.count[1], var_block);
-    GatherColumn(value, 2, 1, part.idx[2], part.count[2], v1);
-    for (int k = 0; k < part.count[2]; ++k) {
-      const double ei = f.Only1(v1[k]);
-      const double si = f.Only1(v1[k] * v1[k]);
-      e[k] = ei;
-      w[k] = ei * ei - si;
-    }
-    Scatter(e, part.idx[2], part.count[2], est_block);
-    Scatter(w, part.idx[2], part.count[2], var_block);
-    GatherColumn(value, 2, 0, part.idx[3], part.count[3], v0);
-    GatherColumn(value, 2, 1, part.idx[3], part.count[3], v1);
-    for (int k = 0; k < part.count[3]; ++k) {
-      const double ei = f.Both(v0[k], v1[k]);
-      const double si = f.Both(v0[k] * v0[k], v1[k] * v1[k]);
-      e[k] = ei;
-      w[k] = ei * ei - si;
-    }
-    Scatter(e, part.idx[3], part.count[3], est_block);
-    Scatter(w, part.idx[3], part.count[3], var_block);
-  }
-}
-
-/// OrUTwo's scalar row form checks that sampled values are binary before
-/// delegating to max^(U); keep the checks (they guard caller bugs) in one
-/// pass ahead of the branch-free bucket loops.
+/// Aborts unless every sampled value of the r=2 batch is 0 or 1.
 void CheckR2BinarySampled(BatchView batch) {
   for (int i = 0; i < batch.size; ++i) {
     const uint8_t* sampled = batch.sampled_row(i);
@@ -335,62 +371,41 @@ inline void EvalSortedDense(const double* d1, const double* d2, int n,
   uint16_t idx29[kPartitionBlockRows];
   uint16_t idx30[kPartitionBlockRows];
   int n29 = 0, n30 = 0;
-#ifdef PIE_SIMD_AVX512
-  if (UseAvx512Tier()) {
-    // vpcompressq replaces the predicated-increment loop; the masks use
-    // ordered-quiet compares matching the scalar predicates, and compress
-    // preserves lane order, so the index sequences are identical.
-    avx512::CompactLogRegimes(hi_a, lo_a, th_a, tl_a, n, idx29, &n29,
-                              idx30, &n30);
-  } else
-#endif
-  {
-    for (int k = 0; k < n; ++k) {
-      const bool needs_log =
-          !(hi_a[k] <= 0) && !(lo_a[k] >= tl_a[k]) && !(hi_a[k] >= th_a[k]);
-      const bool is29 = hi_a[k] <= tl_a[k];
-      idx29[n29] = static_cast<uint16_t>(k);
-      idx30[n30] = static_cast<uint16_t>(k);
-      n29 += needs_log && is29 ? 1 : 0;
-      n30 += needs_log && !is29 ? 1 : 0;
-    }
+  for (int k = 0; k < n; ++k) {
+    const bool needs_log =
+        !(hi_a[k] <= 0) && !(lo_a[k] >= tl_a[k]) && !(hi_a[k] >= th_a[k]);
+    const bool is29 = hi_a[k] <= tl_a[k];
+    idx29[n29] = static_cast<uint16_t>(k);
+    idx30[n30] = static_cast<uint16_t>(k);
+    n29 += needs_log && is29 ? 1 : 0;
+    n30 += needs_log && !is29 ? 1 : 0;
   }
-  {
-    // Live counters for ROADMAP open item 1a: the share of serving
-    // max^(L) rows that lands in the scalar std::log regimes is now a
-    // metric instead of a perf-profile claim. Counters only -- the lane
-    // math above and below is untouched.
-    struct LogLaneCounters {
-      obs::Counter& rows;
-      obs::Counter& eq29;
-      obs::Counter& eq30;
-      obs::Counter& fastlog;
-    };
-    static LogLaneCounters* const counters = [] {
-      auto& reg = obs::MetricsRegistry::Global();
-      return new LogLaneCounters{
-          reg.GetCounter("pie_simd_maxl_rows_total",
-                         "Rows through the dense weighted max^(L) r=2 "
-                         "evaluator"),
-          reg.GetCounter("pie_simd_log_lanes_total",
-                         "Rows requiring a scalar std::log, by closed-form "
-                         "equation", {{"eq", "29"}}),
-          reg.GetCounter("pie_simd_log_lanes_total",
-                         "Rows requiring a scalar std::log, by closed-form "
-                         "equation", {{"eq", "30"}}),
-          reg.GetCounter("pie_fastlog_lanes_total",
-                         "Log-regime lanes evaluated by the vectorized "
-                         "FastLog tier (PIE_FAST_LOG)")};
-    }();
-    counters->rows.Add(static_cast<uint64_t>(n));
-    if (n29 > 0) counters->eq29.Add(static_cast<uint64_t>(n29));
-    if (n30 > 0) counters->eq30.Add(static_cast<uint64_t>(n30));
+  // Counters only (the share of serving max^(L) rows that needs a log is
+  // a live ratio); the lane math above and below is untouched.
+  static obs::Counter& rows_total = obs::MetricsRegistry::Global().GetCounter(
+      "pie_simd_maxl_rows_total",
+      "Rows through the dense weighted max^(L) r=2 evaluator");
+  static obs::Counter* const log_lanes[2] = {
+      &obs::MetricsRegistry::Global().GetCounter(
+          "pie_simd_log_lanes_total",
+          "Rows requiring a scalar std::log, by closed-form equation",
+          {{"eq", "29"}}),
+      &obs::MetricsRegistry::Global().GetCounter(
+          "pie_simd_log_lanes_total",
+          "Rows requiring a scalar std::log, by closed-form equation",
+          {{"eq", "30"}})};
+  rows_total.Add(static_cast<uint64_t>(n));
+  const int log_counts[2] = {n29, n30};
+  CountBucketRows(log_lanes, log_counts, 2);
+  static obs::Counter& fastlog = obs::MetricsRegistry::Global().GetCounter(
+      "pie_fastlog_lanes_total",
+      "Log-regime lanes evaluated by the vectorized FastLog tier "
+      "(PIE_FAST_LOG)");
 #ifdef PIE_FAST_LOG
-    if (n29 + n30 > 0) counters->fastlog.Add(static_cast<uint64_t>(n29 + n30));
+  if (n29 + n30 > 0) fastlog.Add(static_cast<uint64_t>(n29 + n30));
 #else
-    (void)counters->fastlog;
+  (void)fastlog;
 #endif
-  }
   double hi_d[kPartitionBlockRows], lo_d[kPartitionBlockRows];
   double th_d[kPartitionBlockRows], tl_d[kPartitionBlockRows];
   double lg[kPartitionBlockRows], res[kPartitionBlockRows];
@@ -437,12 +452,12 @@ inline void EvalSortedDense(const double* d1, const double* d2, int n,
   }
 }
 
-/// Dense r=2 blocks of MaxHtWeighted (shared by the weighted max kernels'
-/// second moments): per bucket, the identified max, its identifiability
-/// flag, and prob = min(1, mx/tau1) min(1, mx/tau2) are branch-free;
-/// non-identified lanes blend to 0. Null output pointers skip a result.
-inline void MaxHtR2Blocks(BatchView batch, double tau1, double tau2,
-                          double* est, double* second) {
+/// Dense r=2 blocks of MaxHtWeighted: per bucket, the identified max, its
+/// identifiability flag, and prob = min(1, mx/tau1) min(1, mx/tau2) are
+/// branch-free; non-identified lanes blend to 0.
+template <bool kWithVar>
+void MaxHtR2Blocks(BatchView batch, double tau1, double tau2, double* est,
+                   double* var) {
   for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
     PrefetchSlabsAhead(batch, base, /*seeds=*/true, /*params=*/true);
     const int n = std::min(kPartitionBlockRows, batch.size - base);
@@ -455,15 +470,13 @@ inline void MaxHtR2Blocks(BatchView batch, double tau1, double tau2,
     double sd[kPartitionBlockRows];
     double bt[kPartitionBlockRows];
     double e[kPartitionBlockRows];
-    double s[kPartitionBlockRows];
+    double w[kPartitionBlockRows];
     for (int bucket = 0; bucket < 4; ++bucket) {
       const uint16_t* idx = part.idx[bucket];
       const int cnt = part.count[bucket];
       if (bucket == 0) {
-        if (est != nullptr) ScatterConstant(0.0, idx, cnt, est + base);
-        if (second != nullptr) {
-          ScatterConstant(0.0, idx, cnt, second + base);
-        }
+        ScatterConstant(0.0, idx, cnt, est + base);
+        if constexpr (kWithVar) ScatterConstant(0.0, idx, cnt, var + base);
         continue;
       }
       if (bucket == 3) {
@@ -472,10 +485,11 @@ inline void MaxHtR2Blocks(BatchView batch, double tau1, double tau2,
         for (int k = 0; k < cnt; ++k) {
           const double mx = std::max(std::max(0.0, v[k]), sd[k]);
           const bool ok = mx > 0;
-          const double prob =
-              Min1(mx / tau1) * Min1(mx / tau2);
+          const double prob = Min1(mx / tau1) * Min1(mx / tau2);
           e[k] = ok ? mx / prob : 0.0;
-          s[k] = ok ? mx * mx / prob : 0.0;
+          if constexpr (kWithVar) {
+            w[k] = e[k] * e[k] - (ok ? mx * mx / prob : 0.0);
+          }
         }
       } else {
         // Exactly one entry sampled: the other entry's seed bound decides
@@ -492,37 +506,36 @@ inline void MaxHtR2Blocks(BatchView batch, double tau1, double tau2,
         for (int k = 0; k < cnt; ++k) {
           const double mx = std::max(0.0, v[k]);
           const double bound = sd[k] * bt[k];
-          const double prob =
-              Min1(mx / tau1) * Min1(mx / tau2);
+          const double prob = Min1(mx / tau1) * Min1(mx / tau2);
           const double e_ok = bound > mx ? 0.0 : mx / prob;
-          const double s_ok = bound > mx ? 0.0 : mx * mx / prob;
           e[k] = v[k] > 0 ? e_ok : 0.0;
-          s[k] = v[k] > 0 ? s_ok : 0.0;
+          if constexpr (kWithVar) {
+            const double s_ok = bound > mx ? 0.0 : mx * mx / prob;
+            w[k] = e[k] * e[k] - (v[k] > 0 ? s_ok : 0.0);
+          }
         }
       }
-      if (est != nullptr) Scatter(e, idx, cnt, est + base);
-      if (second != nullptr) Scatter(s, idx, cnt, second + base);
+      Scatter(e, idx, cnt, est + base);
+      if constexpr (kWithVar) Scatter(w, idx, cnt, var + base);
     }
   }
 }
 
 /// Dense all-sampled blocks of MinHtWeighted: survivors accumulate the
 /// columnwise min and all-sampled probability in entry order (mirroring
-/// AllSampledMin); everything else estimates 0. Null pointers skip a
-/// result.
-inline void MinHtBlocks(BatchView batch, const std::vector<double>& tau,
-                        double* est, double* second) {
+/// AllSampledMin); everything else estimates 0 with variance 0.
+template <bool kWithVar>
+void MinHtBlocks(BatchView batch, const std::vector<double>& tau,
+                 double* est, double* var) {
   const int r = static_cast<int>(tau.size());
   for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
     PrefetchSlabsAhead(batch, base, /*seeds=*/false, /*params=*/false);
     const int n = std::min(kPartitionBlockRows, batch.size - base);
     AllSampledPartition part;
     PartitionAllSampled(batch.sampled_row(base), r, n, &part);
-    if (est != nullptr) {
-      ScatterConstant(0.0, part.rest, part.rest_count, est + base);
-    }
-    if (second != nullptr) {
-      ScatterConstant(0.0, part.rest, part.rest_count, second + base);
+    ScatterConstant(0.0, part.rest, part.rest_count, est + base);
+    if constexpr (kWithVar) {
+      ScatterConstant(0.0, part.rest, part.rest_count, var + base);
     }
     const double* value = batch.value_row(base);
     double col[kPartitionBlockRows];
@@ -544,16 +557,15 @@ inline void MinHtBlocks(BatchView batch, const std::vector<double>& tau,
       }
     }
     double e[kPartitionBlockRows];
-    double s[kPartitionBlockRows];
+    double w[kPartitionBlockRows];
     for (int k = 0; k < part.count; ++k) {
       e[k] = mn[k] / prob[k];
-      s[k] = mn[k] * mn[k] / prob[k];
+      if constexpr (kWithVar) w[k] = e[k] * e[k] - mn[k] * mn[k] / prob[k];
     }
-    if (est != nullptr) Scatter(e, part.idx, part.count, est + base);
-    if (second != nullptr) Scatter(s, part.idx, part.count, second + base);
+    Scatter(e, part.idx, part.count, est + base);
+    if constexpr (kWithVar) Scatter(w, part.idx, part.count, var + base);
   }
 }
-#endif  // PIE_SIMD
 
 /// Horvitz-Thompson over weight-oblivious outcomes for any primitive f.
 class ObliviousHtKernel : public EstimatorKernel {
@@ -566,22 +578,6 @@ class ObliviousHtKernel : public EstimatorKernel {
     PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
     return ObliviousHtEstimate(outcome.oblivious, f_);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious,
-                     static_cast<int>(p_.size()));
-#ifdef PIE_SIMD
-    PartitionedMany(batch, out, nullptr);
-#else
-    std::vector<double> scratch;
-    scratch.reserve(p_.size());
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = ObliviousHtEstimateRow(batch.param_row(i),
-                                      batch.sampled_row(i),
-                                      batch.value_row(i), batch.r, f_,
-                                      &scratch);
-    }
-#endif
-  }
   double EstimateSecondMoment(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
     const ObliviousOutcome& o = outcome.oblivious;
@@ -590,42 +586,27 @@ class ObliviousHtKernel : public EstimatorKernel {
     return ObliviousHtSecondMomentRow(o.p.data(), o.sampled.data(),
                                       o.value.data(), o.r(), f_, &scratch);
   }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
+  void Scan(BatchView batch, double* est, double* var) const override {
     CheckBatchLayout(batch, Scheme::kOblivious,
                      static_cast<int>(p_.size()));
-#ifdef PIE_SIMD
-    PartitionedMany(batch, nullptr, out);
-#else
     std::vector<double> scratch;
     scratch.reserve(p_.size());
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = ObliviousHtSecondMomentRow(batch.param_row(i),
-                                          batch.sampled_row(i),
-                                          batch.value_row(i), batch.r, f_,
-                                          &scratch);
-    }
-#endif
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious,
-                     static_cast<int>(p_.size()));
-#ifdef PIE_SIMD
-    PartitionedMany(batch, est, var);
-    for (int i = 0; i < batch.size; ++i) {
-      var[i] = est[i] * est[i] - var[i];
-    }
-#else
-    std::vector<double> scratch;
-    scratch.reserve(p_.size());
-    for (int i = 0; i < batch.size; ++i) {
-      double second;
+    // The fused row core shares one f(v) evaluation between the estimate
+    // and the second moment.
+    const auto row = [&](int i, double* second) {
+      double e, s;
       ObliviousHtEstimateWithSecondMomentRow(
           batch.param_row(i), batch.sampled_row(i), batch.value_row(i),
-          batch.r, f_, &scratch, &est[i], &second);
-      var[i] = est[i] * est[i] - second;
-    }
-#endif
+          batch.r, f_, &scratch, &e, &s);
+      if (second != nullptr) *second = s;
+      return e;
+    };
+    // All-sampled partition: non-survivors estimate 0 without touching f_
+    // (a std::function, so its lane math cannot fuse into a branch-free
+    // loop -- the win is routing rows that cannot contribute around the
+    // all-sampled scan and call machinery).
+    ScanSurvivors(batch, PartitionAllSampled, /*prefetch_params=*/true, est,
+                  var, row);
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     return ObliviousHtVariance(values, p_, f_);
@@ -633,123 +614,49 @@ class ObliviousHtKernel : public EstimatorKernel {
   std::string name() const override { return name_; }
 
  private:
-#ifdef PIE_SIMD
-  /// All-sampled partition: non-survivors estimate 0 without touching f_
-  /// (a std::function, so its lane math cannot fuse into a branch-free
-  /// loop -- the win is routing rows that cannot contribute around the
-  /// all-sampled scan and call machinery). Survivors run the fused scalar
-  /// row core, whose estimate/second pair shares one f(v) evaluation.
-  void PartitionedMany(BatchView batch, double* est, double* second) const {
-    const int r = static_cast<int>(p_.size());
-    std::vector<double> scratch;
-    scratch.reserve(p_.size());
-    AllSampledPartition part;
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      PrefetchSlabsAhead(batch, base, /*seeds=*/false, /*params=*/true);
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      PartitionAllSampled(batch.sampled_row(base), r, n, &part);
-      if (est != nullptr) {
-        ScatterConstant(0.0, part.rest, part.rest_count, est + base);
-      }
-      if (second != nullptr) {
-        ScatterConstant(0.0, part.rest, part.rest_count, second + base);
-      }
-      for (int k = 0; k < part.count; ++k) {
-        const int i = base + part.idx[k];
-        double e, s;
-        ObliviousHtEstimateWithSecondMomentRow(
-            batch.param_row(i), batch.sampled_row(i), batch.value_row(i),
-            batch.r, f_, &scratch, &e, &s);
-        if (est != nullptr) est[i] = e;
-        if (second != nullptr) second[i] = s;
-      }
-    }
-  }
-#endif
-
   std::string name_;
   VectorFunction f_;
   std::vector<double> p_;
 };
 
-/// Squares the sampled entries of a length-r row into `out` (unsampled
-/// slots are copied through untouched; the estimators never read them, but
-/// copying keeps the row well-formed). The slab-loop twin of the base
-/// EstimateSecondMoment's squared-outcome bridge: x * x on the same lanes,
-/// so the batched and scalar second-moment paths stay bitwise identical.
-inline void SquareSampledRow(const uint8_t* sampled, const double* value,
-                             int r, double* out) {
-  for (int i = 0; i < r; ++i) {
-    out[i] = sampled[i] ? value[i] * value[i] : value[i];
-  }
-}
-
-/// Fused variance combine for the binary (OR) kernels, whose second moment
-/// IS the point estimate (OR^2 = OR): var = e*e - e, the same arithmetic
-/// the two-pass bridge performs after its redundant second estimate pass.
-/// One estimate loop therefore serves the whole fused scan.
-inline void BinaryVarianceFromEstimates(const double* est, int n,
-                                        double* var) {
-  for (int i = 0; i < n; ++i) {
-    var[i] = est[i] * est[i] - est[i];
-  }
-}
-
-class MaxLTwoKernel : public EstimatorKernel {
+/// The r=2 oblivious max^(L) / max^(U) / max^(Uas) kernels: one core
+/// estimator `Est` with an inline EstimateRow, and its hoisted bucket
+/// forms `Forms`. The second moment is the base squared-outcome bridge.
+template <typename Est, typename Forms>
+class ObliviousTwoKernel : public EstimatorKernel {
  public:
-  MaxLTwoKernel(double p1, double p2) : est_(p1, p2) {}
+  ObliviousTwoKernel(double p1, double p2, const char* name)
+      : est_(p1, p2), name_(name) {}
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
     return est_.Estimate(outcome.oblivious);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
+  void Scan(BatchView batch, double* est, double* var) const override {
     CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2EstimateBlocks(batch, MaxLTwoForms(est_), out);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
+    if (kPartitionedScan) {
+      R2Blocks(batch, Forms(est_), est, var);
+      return;
     }
-#endif
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2SecondMomentBlocks(batch, MaxLTwoForms(est_), out);
-#else
-    double sq[2];
-    for (int i = 0; i < batch.size; ++i) {
-      const uint8_t* sampled = batch.sampled_row(i);
-      SquareSampledRow(sampled, batch.value_row(i), 2, sq);
-      out[i] = est_.EstimateRow(sampled, sq);
-    }
-#endif
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2FusedBlocks(batch, MaxLTwoForms(est_), est, var);
-#else
-    double sq[2];
-    for (int i = 0; i < batch.size; ++i) {
+    ScanRows(batch, est, var, [&](int i, double* second) {
       const uint8_t* sampled = batch.sampled_row(i);
       const double* value = batch.value_row(i);
-      const double e = est_.EstimateRow(sampled, value);
-      SquareSampledRow(sampled, value, 2, sq);
-      est[i] = e;
-      var[i] = e * e - est_.EstimateRow(sampled, sq);
-    }
-#endif
+      if (second != nullptr) {
+        double sq[2];
+        SquareSampledRow(sampled, value, 2, sq);
+        *second = est_.EstimateRow(sampled, sq);
+      }
+      return est_.EstimateRow(sampled, value);
+    });
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
     return est_.Variance(values[0], values[1]);
   }
-  std::string name() const override { return "max^(L) oblivious r=2"; }
+  std::string name() const override { return name_; }
 
  private:
-  MaxLTwo est_;
+  Est est_;
+  const char* name_;
 };
 
 class MaxLThreeKernel : public EstimatorKernel {
@@ -776,93 +683,27 @@ class MaxLUniformKernel : public EstimatorKernel {
     PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
     return est_.Estimate(outcome.oblivious);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, est_.r());
-#ifdef PIE_SIMD
-    // The Theorem 4.2 estimate is a sorted dot product, so survivor rows
-    // stay scalar; partitioning pays by routing empty outcomes (estimate
-    // exactly 0) around the sort entirely.
+  void Scan(BatchView batch, double* est, double* var) const override {
+    const int r = est_.r();
+    CheckBatchLayout(batch, Scheme::kOblivious, r);
     std::vector<double> scratch;
-    scratch.reserve(static_cast<size_t>(est_.r()));
-    AllSampledPartition part;
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      PartitionAnySampled(batch.sampled_row(base), est_.r(), n, &part);
-      ScatterConstant(0.0, part.rest, part.rest_count, out + base);
-      for (int k = 0; k < part.count; ++k) {
-        const int i = base + part.idx[k];
-        out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i),
-                                  &scratch);
-      }
-    }
-#else
-    std::vector<double> scratch;
-    scratch.reserve(static_cast<size_t>(est_.r()));
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i),
-                                &scratch);
-    }
-#endif
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, est_.r());
-    std::vector<double> scratch;
-    scratch.reserve(static_cast<size_t>(est_.r()));
-    std::vector<double> sq(static_cast<size_t>(est_.r()));
-#ifdef PIE_SIMD
-    AllSampledPartition part;
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      PartitionAnySampled(batch.sampled_row(base), est_.r(), n, &part);
-      ScatterConstant(0.0, part.rest, part.rest_count, out + base);
-      for (int k = 0; k < part.count; ++k) {
-        const int i = base + part.idx[k];
-        const uint8_t* sampled = batch.sampled_row(i);
-        SquareSampledRow(sampled, batch.value_row(i), est_.r(), sq.data());
-        out[i] = est_.EstimateRow(sampled, sq.data(), &scratch);
-      }
-    }
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      const uint8_t* sampled = batch.sampled_row(i);
-      SquareSampledRow(sampled, batch.value_row(i), est_.r(), sq.data());
-      out[i] = est_.EstimateRow(sampled, sq.data(), &scratch);
-    }
-#endif
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, est_.r());
-    std::vector<double> scratch;
-    scratch.reserve(static_cast<size_t>(est_.r()));
-    std::vector<double> sq(static_cast<size_t>(est_.r()));
-#ifdef PIE_SIMD
-    AllSampledPartition part;
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      PartitionAnySampled(batch.sampled_row(base), est_.r(), n, &part);
-      ScatterConstant(0.0, part.rest, part.rest_count, est + base);
-      ScatterConstant(0.0, part.rest, part.rest_count, var + base);
-      for (int k = 0; k < part.count; ++k) {
-        const int i = base + part.idx[k];
-        const uint8_t* sampled = batch.sampled_row(i);
-        const double* value = batch.value_row(i);
-        const double e = est_.EstimateRow(sampled, value, &scratch);
-        SquareSampledRow(sampled, value, est_.r(), sq.data());
-        est[i] = e;
-        var[i] = e * e - est_.EstimateRow(sampled, sq.data(), &scratch);
-      }
-    }
-#else
-    for (int i = 0; i < batch.size; ++i) {
+    scratch.reserve(static_cast<size_t>(r));
+    std::vector<double> sq(static_cast<size_t>(r));
+    const auto row = [&](int i, double* second) {
       const uint8_t* sampled = batch.sampled_row(i);
       const double* value = batch.value_row(i);
       const double e = est_.EstimateRow(sampled, value, &scratch);
-      SquareSampledRow(sampled, value, est_.r(), sq.data());
-      est[i] = e;
-      var[i] = e * e - est_.EstimateRow(sampled, sq.data(), &scratch);
-    }
-#endif
+      if (second != nullptr) {
+        SquareSampledRow(sampled, value, r, sq.data());
+        *second = est_.EstimateRow(sampled, sq.data(), &scratch);
+      }
+      return e;
+    };
+    // The Theorem 4.2 estimate is a sorted dot product, so survivor rows
+    // stay scalar; partitioning pays by routing empty outcomes (estimate
+    // exactly 0) around the sort entirely.
+    ScanSurvivors(batch, PartitionAnySampled, /*prefetch_params=*/false, est,
+                  var, row);
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     if (static_cast<int>(values.size()) != est_.r() || est_.r() > 25) {
@@ -879,150 +720,49 @@ class MaxLUniformKernel : public EstimatorKernel {
   MaxLUniform est_;
 };
 
-class MaxUTwoKernel : public EstimatorKernel {
+/// Base of the binary-domain (OR) kernels: OR(v)^2 = OR(v), so the point
+/// estimate IS the unbiased second-moment estimate (and 0/1 are fixed
+/// points of squaring, so this is bitwise the base squared-outcome
+/// bridge). Scan runs the derived kernel's point-only ScanEstimates and,
+/// with the variance, combines var = e*e - e.
+template <typename Derived>
+class BinaryKernel : public EstimatorKernel {
  public:
-  MaxUTwoKernel(double p1, double p2) : est_(p1, p2) {}
-  double Estimate(const Outcome& outcome) const override {
-    PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
-    return est_.Estimate(outcome.oblivious);
-  }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2EstimateBlocks(batch, MaxUTwoForms(est_), out);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2SecondMomentBlocks(batch, MaxUTwoForms(est_), out);
-#else
-    double sq[2];
-    for (int i = 0; i < batch.size; ++i) {
-      const uint8_t* sampled = batch.sampled_row(i);
-      SquareSampledRow(sampled, batch.value_row(i), 2, sq);
-      out[i] = est_.EstimateRow(sampled, sq);
-    }
-#endif
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2FusedBlocks(batch, MaxUTwoForms(est_), est, var);
-#else
-    double sq[2];
-    for (int i = 0; i < batch.size; ++i) {
-      const uint8_t* sampled = batch.sampled_row(i);
-      const double* value = batch.value_row(i);
-      const double e = est_.EstimateRow(sampled, value);
-      SquareSampledRow(sampled, value, 2, sq);
-      est[i] = e;
-      var[i] = e * e - est_.EstimateRow(sampled, sq);
-    }
-#endif
-  }
-  Result<double> Variance(const std::vector<double>& values) const override {
-    PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
-    return est_.Variance(values[0], values[1]);
-  }
-  std::string name() const override { return "max^(U) oblivious r=2"; }
-
- private:
-  MaxUTwo est_;
-};
-
-class MaxUAsymTwoKernel : public EstimatorKernel {
- public:
-  MaxUAsymTwoKernel(double p1, double p2) : est_(p1, p2) {}
-  double Estimate(const Outcome& outcome) const override {
-    PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
-    return est_.Estimate(outcome.oblivious);
-  }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2EstimateBlocks(batch, MaxUAsymTwoForms(est_), out);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2SecondMomentBlocks(batch, MaxUAsymTwoForms(est_), out);
-#else
-    double sq[2];
-    for (int i = 0; i < batch.size; ++i) {
-      const uint8_t* sampled = batch.sampled_row(i);
-      SquareSampledRow(sampled, batch.value_row(i), 2, sq);
-      out[i] = est_.EstimateRow(sampled, sq);
-    }
-#endif
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2FusedBlocks(batch, MaxUAsymTwoForms(est_), est, var);
-#else
-    double sq[2];
-    for (int i = 0; i < batch.size; ++i) {
-      const uint8_t* sampled = batch.sampled_row(i);
-      const double* value = batch.value_row(i);
-      const double e = est_.EstimateRow(sampled, value);
-      SquareSampledRow(sampled, value, 2, sq);
-      est[i] = e;
-      var[i] = e * e - est_.EstimateRow(sampled, sq);
-    }
-#endif
-  }
-  Result<double> Variance(const std::vector<double>& values) const override {
-    PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
-    return est_.Variance(values[0], values[1]);
-  }
-  std::string name() const override { return "max^(Uas) oblivious r=2"; }
-
- private:
-  MaxUAsymTwo est_;
-};
-
-class OrLTwoKernel : public EstimatorKernel {
- public:
-  OrLTwoKernel(double p1, double p2) : est_(p1, p2) {}
-  double Estimate(const Outcome& outcome) const override {
-    PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
-    return est_.Estimate(outcome.oblivious);
-  }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    R2EstimateBlocks(batch, OrLTwoForms(est_), out);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
-  }
-  // Binary domain: OR(v)^2 = OR(v), so the point estimate IS the unbiased
-  // second-moment estimate (and 0/1 are fixed points of squaring, so this
-  // is bitwise the base squared-outcome bridge).
   double EstimateSecondMoment(const Outcome& outcome) const override {
     return Estimate(outcome);
   }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    EstimateMany(batch, out);
+  void Scan(BatchView batch, double* est, double* var) const override {
+    static_cast<const Derived&>(*this).ScanEstimates(batch, est);
+    if (var == nullptr) return;
+    for (int i = 0; i < batch.size; ++i) {
+      var[i] = est[i] * est[i] - est[i];
+    }
   }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    EstimateMany(batch, est);
-    BinaryVarianceFromEstimates(est, batch.size, var);
+};
+
+/// The r=2 oblivious OR^(L) / OR^(U) kernels.
+template <typename Est, typename Forms>
+class OrTwoKernel : public BinaryKernel<OrTwoKernel<Est, Forms>> {
+ public:
+  OrTwoKernel(double p1, double p2, const char* name)
+      : est_(p1, p2), name_(name) {}
+  double Estimate(const Outcome& outcome) const override {
+    PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
+    return est_.Estimate(outcome.oblivious);
+  }
+  void ScanEstimates(BatchView batch, double* est) const {
+    CheckBatchLayout(batch, Scheme::kOblivious, 2);
+    if (kPartitionedScan) {
+      // OrUTwo's row form checks that sampled values are binary before
+      // delegating to max^(U); keep the checks (they guard caller bugs) in
+      // one pass ahead of the branch-free bucket loops.
+      if constexpr (std::is_same_v<Est, OrUTwo>) CheckR2BinarySampled(batch);
+      R2Blocks(batch, Forms(est_), est, nullptr);
+      return;
+    }
+    ScanRows(batch, est, nullptr, [&](int i, double*) {
+      return est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
+    });
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
@@ -1030,51 +770,27 @@ class OrLTwoKernel : public EstimatorKernel {
     return est_.Variance(static_cast<int>(values[0]),
                          static_cast<int>(values[1]));
   }
-  std::string name() const override { return "OR^(L) oblivious r=2"; }
+  std::string name() const override { return name_; }
 
  private:
-  OrLTwo est_;
+  Est est_;
+  const char* name_;
 };
 
-class OrLUniformKernel : public EstimatorKernel {
+class OrLUniformKernel : public BinaryKernel<OrLUniformKernel> {
  public:
   OrLUniformKernel(int r, double p) : est_(r, p) {}
   double Estimate(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
     return est_.Estimate(outcome.oblivious);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
+  void ScanEstimates(BatchView batch, double* est) const {
     CheckBatchLayout(batch, Scheme::kOblivious, est_.r());
-#ifdef PIE_SIMD
-    // Rows without a sampled entry estimate 0 dense; survivors run the
-    // checked counting row (the estimate itself is a prefix-sum lookup).
-    AllSampledPartition part;
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      PartitionAnySampled(batch.sampled_row(base), est_.r(), n, &part);
-      ScatterConstant(0.0, part.rest, part.rest_count, out + base);
-      for (int k = 0; k < part.count; ++k) {
-        const int i = base + part.idx[k];
-        out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-      }
-    }
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
-  }
-  // Binary domain: OR(v)^2 = OR(v) (see OrLTwoKernel).
-  double EstimateSecondMoment(const Outcome& outcome) const override {
-    return Estimate(outcome);
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    EstimateMany(batch, out);
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    EstimateMany(batch, est);
-    BinaryVarianceFromEstimates(est, batch.size, var);
+    // The estimate is a prefix-sum lookup on the row's counts, so the row
+    // loop serves every build.
+    ScanRows(batch, est, nullptr, [&](int i, double*) {
+      return est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
+    });
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), est_.r()));
@@ -1091,48 +807,6 @@ class OrLUniformKernel : public EstimatorKernel {
   OrLUniform est_;
 };
 
-class OrUTwoKernel : public EstimatorKernel {
- public:
-  OrUTwoKernel(double p1, double p2) : est_(p1, p2) {}
-  double Estimate(const Outcome& outcome) const override {
-    PIE_DCHECK(outcome.scheme == Scheme::kOblivious);
-    return est_.Estimate(outcome.oblivious);
-  }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kOblivious, 2);
-#ifdef PIE_SIMD
-    CheckR2BinarySampled(batch);
-    R2EstimateBlocks(batch, MaxUTwoForms(est_.max_u()), out);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
-  }
-  // Binary domain: OR(v)^2 = OR(v) (see OrLTwoKernel).
-  double EstimateSecondMoment(const Outcome& outcome) const override {
-    return Estimate(outcome);
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    EstimateMany(batch, out);
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    EstimateMany(batch, est);
-    BinaryVarianceFromEstimates(est, batch.size, var);
-  }
-  Result<double> Variance(const std::vector<double>& values) const override {
-    PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
-    PIE_RETURN_IF_ERROR(RequireBinary(values));
-    return est_.Variance(static_cast<int>(values[0]),
-                         static_cast<int>(values[1]));
-  }
-  std::string name() const override { return "OR^(U) oblivious r=2"; }
-
- private:
-  OrUTwo est_;
-};
-
 class MaxHtWeightedKernel : public EstimatorKernel {
  public:
   explicit MaxHtWeightedKernel(std::vector<double> tau)
@@ -1141,63 +815,30 @@ class MaxHtWeightedKernel : public EstimatorKernel {
     PIE_DCHECK(outcome.scheme == Scheme::kPps);
     return est_.Estimate(outcome.pps);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kPps,
-                     static_cast<int>(est_.tau().size()));
-#ifdef PIE_SIMD
-    if (est_.tau().size() == 2) {
-      MaxHtR2Blocks(batch, est_.tau()[0], est_.tau()[1], out, nullptr);
-      return;
-    }
-#endif
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.param_row(i), batch.seed_row(i),
-                                batch.sampled_row(i), batch.value_row(i));
-    }
-  }
   double EstimateSecondMoment(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kPps);
     const PpsOutcome& o = outcome.pps;
     return est_.SecondMomentRow(o.tau.data(), o.seed.data(),
                                 o.sampled.data(), o.value.data());
   }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kPps,
-                     static_cast<int>(est_.tau().size()));
-#ifdef PIE_SIMD
-    if (est_.tau().size() == 2) {
-      MaxHtR2Blocks(batch, est_.tau()[0], est_.tau()[1], nullptr, out);
+  void Scan(BatchView batch, double* est, double* var) const override {
+    const std::vector<double>& tau = est_.tau();
+    CheckBatchLayout(batch, Scheme::kPps, static_cast<int>(tau.size()));
+    if (kPartitionedScan && tau.size() == 2) {
+      DispatchMode(var, [&](auto mode) {
+        MaxHtR2Blocks<decltype(mode)::value>(batch, tau[0], tau[1], est,
+                                             var);
+      });
       return;
     }
-#endif
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.SecondMomentRow(batch.param_row(i), batch.seed_row(i),
-                                    batch.sampled_row(i),
-                                    batch.value_row(i));
-    }
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kPps,
-                     static_cast<int>(est_.tau().size()));
-#ifdef PIE_SIMD
-    if (est_.tau().size() == 2) {
-      MaxHtR2Blocks(batch, est_.tau()[0], est_.tau()[1], est, var);
-      for (int i = 0; i < batch.size; ++i) {
-        var[i] = est[i] * est[i] - var[i];
-      }
-      return;
-    }
-#endif
-    for (int i = 0; i < batch.size; ++i) {
-      double second;
-      est_.EstimateWithSecondMomentRow(batch.param_row(i),
-                                       batch.seed_row(i),
+    ScanRows(batch, est, var, [&](int i, double* second) {
+      double e, s;
+      est_.EstimateWithSecondMomentRow(batch.param_row(i), batch.seed_row(i),
                                        batch.sampled_row(i),
-                                       batch.value_row(i), &est[i],
-                                       &second);
-      var[i] = est[i] * est[i] - second;
-    }
+                                       batch.value_row(i), &e, &s);
+      if (second != nullptr) *second = s;
+      return e;
+    });
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     return est_.Variance(values);
@@ -1219,71 +860,6 @@ class MaxLWeightedTwoKernel : public EstimatorKernel {
     PIE_DCHECK(outcome.scheme == Scheme::kPps);
     return est_.Estimate(outcome.pps);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kPps, 2);
-#ifdef PIE_SIMD
-    // Pattern-partitioned: each bucket builds its determining vector
-    // (d1, d2) branch-free, then EvalSortedDense evaluates the non-log
-    // regimes vectorized and resolves the log regimes in a scalar tail.
-    const double tau1 = est_.tau1();
-    const double tau2 = est_.tau2();
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      PrefetchSlabsAhead(batch, base, /*seeds=*/true, /*params=*/true);
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      R2Partition part;
-      PartitionR2(batch.sampled_row(base), n, &part);
-      const double* value = batch.value_row(base);
-      const double* seed = batch.seed_row(base);
-      const double* tau = batch.param_row(base);
-      double d1[kPartitionBlockRows], d2[kPartitionBlockRows];
-      double sd[kPartitionBlockRows], bt[kPartitionBlockRows];
-      double e[kPartitionBlockRows];
-      ScatterConstant(0.0, part.idx[0], part.count[0], out + base);
-      // The three sampled buckets build their (d1, d2) pairs into disjoint
-      // SEGMENTS of one dense lane array, so EvalSortedDense runs once per
-      // block (one pass-1 sweep, one log compaction, one vector tail)
-      // instead of once per bucket. The evaluation is per-lane independent,
-      // so concatenation changes no bits.
-      int seg[4] = {0, 0, 0, 0};
-      int off = 0;
-      for (int bucket = 1; bucket <= 2; ++bucket) {
-        const uint16_t* idx = part.idx[bucket];
-        const int cnt = part.count[bucket];
-        seg[bucket] = off;
-        if (cnt == 0) continue;
-        const int have = bucket == 1 ? 0 : 1;
-        const int miss = 1 - have;
-        double* dh = (bucket == 1 ? d1 : d2) + off;
-        double* dm = (bucket == 1 ? d2 : d1) + off;
-        GatherColumn(value, 2, have, idx, cnt, dh);
-        GatherColumn(seed, 2, miss, idx, cnt, sd);
-        GatherColumn(tau, 2, miss, idx, cnt, bt);
-        for (int k = 0; k < cnt; ++k) {
-          dm[k] = std::min(sd[k] * bt[k], dh[k]);
-        }
-        off += cnt;
-      }
-      seg[3] = off;
-      if (part.count[3] > 0) {
-        GatherColumn(value, 2, 0, part.idx[3], part.count[3], d1 + off);
-        GatherColumn(value, 2, 1, part.idx[3], part.count[3], d2 + off);
-        off += part.count[3];
-      }
-      if (off > 0) {
-        EvalSortedDense(d1, d2, off, tau1, tau2, e);
-        for (int bucket = 1; bucket <= 3; ++bucket) {
-          Scatter(e + seg[bucket], part.idx[bucket], part.count[bucket],
-                  out + base);
-        }
-      }
-    }
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.param_row(i), batch.seed_row(i),
-                                batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
-  }
   // The second moment uses the identifiable-event inverse-probability form
   // (max_sampled^2 / p on outcomes that pin down max(v)); any unbiased
   // estimator of max^2 serves, and this one is closed-form, nonnegative,
@@ -1294,37 +870,46 @@ class MaxLWeightedTwoKernel : public EstimatorKernel {
     return second_.SecondMomentRow(o.tau.data(), o.seed.data(),
                                    o.sampled.data(), o.value.data());
   }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
+  void Scan(BatchView batch, double* est, double* var) const override {
     CheckBatchLayout(batch, Scheme::kPps, 2);
-#ifdef PIE_SIMD
-    // Same identifiable-event arithmetic as MaxHtWeighted r=2.
-    MaxHtR2Blocks(batch, est_.tau1(), est_.tau2(), nullptr, out);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = second_.SecondMomentRow(batch.param_row(i),
-                                       batch.seed_row(i),
-                                       batch.sampled_row(i),
-                                       batch.value_row(i));
+    if (kPartitionedScan) {
+      DispatchMode(var, [&](auto mode) {
+        ScanBlocks<decltype(mode)::value>(batch, est, var);
+      });
+      return;
     }
-#endif
+    ScanRows(batch, est, var, [&](int i, double* second) {
+      const double* tau = batch.param_row(i);
+      const double* seed = batch.seed_row(i);
+      const uint8_t* sampled = batch.sampled_row(i);
+      const double* value = batch.value_row(i);
+      if (second != nullptr) {
+        *second = second_.SecondMomentRow(tau, seed, sampled, value);
+      }
+      return est_.EstimateRow(tau, seed, sampled, value);
+    });
   }
-  // Single-load fused row: one case split on the sampled pattern feeds
-  // BOTH the max^(L) determining vector and the identifiable-event second
-  // moment (they share the largest sampled value and the seed upper
-  // bounds), so the with-variance scan pays one branchy pass per row
-  // instead of two. Every expression matches MaxLWeightedTwo::EstimateRow
-  // / MaxHtWeighted::SecondMomentRow operation for operation -- the fused
-  // sweep in tests/parallel_scan_test.cc enforces bitwise identity with
-  // the two-pass bridge.
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kPps, 2);
+  Result<double> Variance(const std::vector<double>& values) const override {
+    PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
+    return est_.Variance(values[0], values[1]);
+  }
+  std::string name() const override { return "max^(L) pps known-seeds r=2"; }
+
+ private:
+  // Pattern-partitioned: each sampled bucket builds its determining vector
+  // (d1, d2) branch-free and, with the variance, the identifiable-event
+  // second-moment lane s from the SAME gathered columns (they share the
+  // largest sampled value and the seed upper bounds). The buckets fill
+  // disjoint SEGMENTS of one dense lane array, so EvalSortedDense (one
+  // pass-1 sweep, one log compaction, one vector tail) and the var combine
+  // run once per block instead of once per bucket; the evaluation is
+  // per-lane independent, so concatenation changes no bits. Every
+  // expression matches MaxLWeightedTwo::EstimateRow /
+  // MaxHtWeighted::SecondMomentRow operation for operation.
+  template <bool kWithVar>
+  void ScanBlocks(BatchView batch, double* est, double* var) const {
     const double tau1 = est_.tau1();
     const double tau2 = est_.tau2();
-#ifdef PIE_SIMD
-    // Per bucket the fused pass builds (d1, d2) for max^(L) and the
-    // (mx, identifiable) pair for the second moment from the SAME gathered
-    // columns, evaluates the estimate dense, and combines var = e^2 - s.
     for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
       PrefetchSlabsAhead(batch, base, /*seeds=*/true, /*params=*/true);
       const int n = std::min(kPartitionBlockRows, batch.size - base);
@@ -1338,10 +923,9 @@ class MaxLWeightedTwoKernel : public EstimatorKernel {
       double e[kPartitionBlockRows], s[kPartitionBlockRows];
       double w[kPartitionBlockRows];
       ScatterConstant(0.0, part.idx[0], part.count[0], est + base);
-      ScatterConstant(0.0, part.idx[0], part.count[0], var + base);
-      // As in EstimateMany, the sampled buckets fill disjoint segments of
-      // one dense lane array (here (d1, d2) AND the second-moment lane s)
-      // so EvalSortedDense and the var combine run once per block.
+      if constexpr (kWithVar) {
+        ScatterConstant(0.0, part.idx[0], part.count[0], var + base);
+      }
       int seg[4] = {0, 0, 0, 0};
       int off = 0;
       for (int bucket = 1; bucket <= 2; ++bucket) {
@@ -1361,11 +945,12 @@ class MaxLWeightedTwoKernel : public EstimatorKernel {
         for (int k = 0; k < cnt; ++k) {
           const double bound = sd[k] * bt[k];
           dm[k] = std::min(bound, dh[k]);
-          const double mx = std::max(0.0, dh[k]);
-          const double prob =
-              Min1(mx / tau1) * Min1(mx / tau2);
-          const double s_ok = bound > mx ? 0.0 : mx * mx / prob;
-          sb[k] = dh[k] > 0 ? s_ok : 0.0;
+          if constexpr (kWithVar) {
+            const double mx = std::max(0.0, dh[k]);
+            const double prob = Min1(mx / tau1) * Min1(mx / tau2);
+            const double s_ok = bound > mx ? 0.0 : mx * mx / prob;
+            sb[k] = dh[k] > 0 ? s_ok : 0.0;
+          }
         }
         off += cnt;
       }
@@ -1378,83 +963,39 @@ class MaxLWeightedTwoKernel : public EstimatorKernel {
         double* sb = s + off;
         GatherColumn(value, 2, 0, idx, cnt, da);
         GatherColumn(value, 2, 1, idx, cnt, db);
-        for (int k = 0; k < cnt; ++k) {
-          const double mx = std::max(std::max(0.0, da[k]), db[k]);
-          const double prob =
-              Min1(mx / tau1) * Min1(mx / tau2);
-          sb[k] = mx > 0 ? mx * mx / prob : 0.0;
+        if constexpr (kWithVar) {
+          for (int k = 0; k < cnt; ++k) {
+            const double mx = std::max(std::max(0.0, da[k]), db[k]);
+            const double prob = Min1(mx / tau1) * Min1(mx / tau2);
+            sb[k] = mx > 0 ? mx * mx / prob : 0.0;
+          }
         }
         off += cnt;
       }
       if (off > 0) {
         EvalSortedDense(d1, d2, off, tau1, tau2, e);
-        for (int k = 0; k < off; ++k) w[k] = e[k] * e[k] - s[k];
+        if constexpr (kWithVar) {
+          for (int k = 0; k < off; ++k) w[k] = e[k] * e[k] - s[k];
+        }
         for (int bucket = 1; bucket <= 3; ++bucket) {
           Scatter(e + seg[bucket], part.idx[bucket], part.count[bucket],
                   est + base);
-          Scatter(w + seg[bucket], part.idx[bucket], part.count[bucket],
-                  var + base);
+          if constexpr (kWithVar) {
+            Scatter(w + seg[bucket], part.idx[bucket], part.count[bucket],
+                    var + base);
+          }
         }
       }
     }
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      const double* tau = batch.param_row(i);
-      const double* seed = batch.seed_row(i);
-      const uint8_t* sampled = batch.sampled_row(i);
-      const double* value = batch.value_row(i);
-      const bool s1 = sampled[0] != 0;
-      const bool s2 = sampled[1] != 0;
-      double e = 0.0;
-      double second = 0.0;
-      if (s1 || s2) {
-        double d1, d2;            // determining vector (max^(L))
-        double mx;                // largest sampled value (second moment)
-        bool identifiable;        // every unsampled seed bound <= mx
-        if (s1 && s2) {
-          d1 = value[0];
-          d2 = value[1];
-          mx = std::max(std::max(0.0, value[0]), value[1]);
-          identifiable = true;
-        } else if (s1) {
-          d1 = value[0];
-          const double bound2 = seed[1] * tau[1];
-          d2 = std::min(bound2, d1);
-          mx = std::max(0.0, value[0]);
-          identifiable = !(bound2 > mx);
-        } else {
-          d2 = value[1];
-          const double bound1 = seed[0] * tau[0];
-          d1 = std::min(bound1, d2);
-          mx = std::max(0.0, value[1]);
-          identifiable = !(bound1 > mx);
-        }
-        e = est_.EstimateFromDeterminingVector(d1, d2);
-        if (mx > 0 && identifiable) {
-          const double prob =
-              std::fmin(1.0, mx / tau1) * std::fmin(1.0, mx / tau2);
-          second = mx * mx / prob;
-        }
-      }
-      est[i] = e;
-      var[i] = e * e - second;
-    }
-#endif
   }
-  Result<double> Variance(const std::vector<double>& values) const override {
-    PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
-    return est_.Variance(values[0], values[1]);
-  }
-  std::string name() const override { return "max^(L) pps known-seeds r=2"; }
 
- private:
   MaxLWeightedTwo est_;
   MaxHtWeighted second_;
 };
 
 /// OR over weighted PPS samples with known seeds, r = 2; the family selects
 /// HT, L, or U through the binary outcome mapping of Section 5.1.
-class OrWeightedTwoKernel : public EstimatorKernel {
+class OrWeightedTwoKernel : public BinaryKernel<OrWeightedTwoKernel> {
  public:
   OrWeightedTwoKernel(double tau1, double tau2, Family family)
       : est_(tau1, tau2), family_(family) {}
@@ -1469,13 +1010,55 @@ class OrWeightedTwoKernel : public EstimatorKernel {
         return est_.EstimateU(outcome.pps);
     }
   }
-  void EstimateMany(BatchView batch, double* out) const override {
+  void ScanEstimates(BatchView batch, double* est) const {
     CheckBatchLayout(batch, Scheme::kPps, 2);
-#ifdef PIE_SIMD
-    // Section 5.1 mapping first (per row, keeps its checks), then the rows
-    // are partitioned on the MAPPED sampled flags -- a seed below p_i turns
-    // a missing entry into a certified zero, so the mapped pattern, not the
-    // raw one, selects the estimator's closed form.
+    if (kPartitionedScan) {
+      ScanBlocks(batch, est);
+      return;
+    }
+    ScanRows(batch, est, nullptr, [&](int i, double*) {
+      const double* tau = batch.param_row(i);
+      const double* seed = batch.seed_row(i);
+      const uint8_t* sampled = batch.sampled_row(i);
+      const double* value = batch.value_row(i);
+      switch (family_) {
+        case Family::kHt:
+          return est_.EstimateHtRow(tau, seed, sampled, value);
+        case Family::kL:
+          return est_.EstimateLRow(tau, seed, sampled, value);
+        default:
+          return est_.EstimateURow(tau, seed, sampled, value);
+      }
+    });
+  }
+  Result<double> Variance(const std::vector<double>& values) const override {
+    PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
+    PIE_RETURN_IF_ERROR(RequireBinary(values));
+    // Section 5.1: over binary domains the known-seeds weighted outcome is
+    // equivalent to an oblivious one with p_i = min(1, 1/tau_i).
+    const int v1 = static_cast<int>(values[0]);
+    const int v2 = static_cast<int>(values[1]);
+    switch (family_) {
+      case Family::kHt:
+        return OrOf(values) == 0.0 ? 0.0
+                                   : OrHtVariance({est_.p1(), est_.p2()});
+      case Family::kL:
+        return OrLTwo(est_.p1(), est_.p2()).Variance(v1, v2);
+      default:
+        return OrUTwo(est_.p1(), est_.p2()).Variance(v1, v2);
+    }
+  }
+  std::string name() const override {
+    return std::string("OR^(") + FamilyToString(family_) +
+           ") pps known-seeds r=2";
+  }
+
+ private:
+  // Section 5.1 mapping first (per row, keeps its checks), then the rows
+  // are partitioned on the MAPPED sampled flags -- a seed below p_i turns
+  // a missing entry into a certified zero, so the mapped pattern, not the
+  // raw one, selects the estimator's closed form.
+  void ScanBlocks(BatchView batch, double* out) const {
     for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
       const int n = std::min(kPartitionBlockRows, batch.size - base);
       double p_blk[2 * kPartitionBlockRows];
@@ -1492,7 +1075,8 @@ class OrWeightedTwoKernel : public EstimatorKernel {
       PartitionR2(s_blk, n, &part);
       switch (family_) {
         case Family::kL:
-          ApplyR2Forms(v_blk, part, OrLTwoForms(est_.or_l()), out + base);
+          ApplyR2Forms<false>(v_blk, part, OrLTwoForms(est_.or_l()),
+                              out + base, nullptr);
           break;
         case Family::kHt: {  // positive only when both mapped-sampled.
           ScatterConstant(0.0, part.idx[0], part.count[0], out + base);
@@ -1519,73 +1103,22 @@ class OrWeightedTwoKernel : public EstimatorKernel {
         default:
           // Mapped values are 0/1 by construction (the mapping already
           // checked them), so OrUTwo reduces to its max^(U) arithmetic.
-          ApplyR2Forms(v_blk, part, MaxUTwoForms(est_.or_u().max_u()),
-                       out + base);
+          ApplyR2Forms<false>(v_blk, part, OrUTwoForms(est_.or_u()),
+                              out + base, nullptr);
           break;
       }
     }
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      const double* tau = batch.param_row(i);
-      const double* seed = batch.seed_row(i);
-      const uint8_t* sampled = batch.sampled_row(i);
-      const double* value = batch.value_row(i);
-      switch (family_) {
-        case Family::kHt:
-          out[i] = est_.EstimateHtRow(tau, seed, sampled, value);
-          break;
-        case Family::kL:
-          out[i] = est_.EstimateLRow(tau, seed, sampled, value);
-          break;
-        default:
-          out[i] = est_.EstimateURow(tau, seed, sampled, value);
-          break;
-      }
-    }
-#endif
-  }
-  // Binary domain: OR(v)^2 = OR(v), so the point estimate is itself the
-  // unbiased second-moment estimate.
-  double EstimateSecondMoment(const Outcome& outcome) const override {
-    return Estimate(outcome);
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    EstimateMany(batch, out);
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    EstimateMany(batch, est);
-    BinaryVarianceFromEstimates(est, batch.size, var);
-  }
-  Result<double> Variance(const std::vector<double>& values) const override {
-    PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), 2));
-    PIE_RETURN_IF_ERROR(RequireBinary(values));
-    // Section 5.1: over binary domains the known-seeds weighted outcome is
-    // equivalent to an oblivious one with p_i = min(1, 1/tau_i).
-    const int v1 = static_cast<int>(values[0]);
-    const int v2 = static_cast<int>(values[1]);
-    switch (family_) {
-      case Family::kHt:
-        return OrOf(values) == 0.0 ? 0.0
-                                   : OrHtVariance({est_.p1(), est_.p2()});
-      case Family::kL:
-        return OrLTwo(est_.p1(), est_.p2()).Variance(v1, v2);
-      default:
-        return OrUTwo(est_.p1(), est_.p2()).Variance(v1, v2);
-    }
-  }
-  std::string name() const override {
-    return std::string("OR^(") + FamilyToString(family_) +
-           ") pps known-seeds r=2";
   }
 
- private:
   OrWeightedTwo est_;
   Family family_;
 };
 
-/// OR over r weighted PPS samples with a uniform threshold, HT or L.
-class OrWeightedUniformKernel : public EstimatorKernel {
+/// OR over r weighted PPS samples with a uniform threshold, HT or L. Its
+/// survivor rows stay scalar after the Section 5.1 mapping, so it scans
+/// through the row loop in every build.
+class OrWeightedUniformKernel
+    : public BinaryKernel<OrWeightedUniformKernel> {
  public:
   OrWeightedUniformKernel(int r, double tau, Family family)
       : est_(r, tau), family_(family) {}
@@ -1594,76 +1127,22 @@ class OrWeightedUniformKernel : public EstimatorKernel {
     return family_ == Family::kHt ? est_.EstimateHt(outcome.pps)
                                   : est_.EstimateL(outcome.pps);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
+  void ScanEstimates(BatchView batch, double* est) const {
     CheckBatchLayout(batch, Scheme::kPps, est_.r());
-#ifdef PIE_SIMD
-    // Map every row (keeping the mapping's checks), partition the block on
-    // the MAPPED flags, and run the family's row form only on rows that
-    // can estimate nonzero; the rest are exactly 0.
-    const int r = est_.r();
-    const size_t slab = static_cast<size_t>(r) * kPartitionBlockRows;
-    std::vector<double> p_blk(slab);
-    std::vector<uint8_t> s_blk(slab);
-    std::vector<double> v_blk(slab);
-    for (int base = 0; base < batch.size; base += kPartitionBlockRows) {
-      const int n = std::min(kPartitionBlockRows, batch.size - base);
-      for (int i = 0; i < n; ++i) {
-        const int row = base + i;
-        MapBinaryPpsRowToOblivious(
-            batch.param_row(row), batch.seed_row(row), batch.sampled_row(row),
-            batch.value_row(row), r, p_blk.data() + i * r,
-            s_blk.data() + i * r, v_blk.data() + i * r);
-      }
-      AllSampledPartition part;
-      if (family_ == Family::kHt) {
-        PartitionAllSampled(s_blk.data(), r, n, &part);
-        ScatterConstant(0.0, part.rest, part.rest_count, out + base);
-        for (int k = 0; k < part.count; ++k) {
-          const int i = part.idx[k];
-          out[base + i] = OrHtEstimateRow(p_blk.data() + i * r,
-                                          s_blk.data() + i * r,
-                                          v_blk.data() + i * r, r);
-        }
-      } else {
-        PartitionAnySampled(s_blk.data(), r, n, &part);
-        ScatterConstant(0.0, part.rest, part.rest_count, out + base);
-        for (int k = 0; k < part.count; ++k) {
-          const int i = part.idx[k];
-          out[base + i] = est_.or_l().EstimateRow(s_blk.data() + i * r,
-                                                  v_blk.data() + i * r);
-        }
-      }
-    }
-#else
     std::vector<double> p(static_cast<size_t>(est_.r()));
     std::vector<uint8_t> s(static_cast<size_t>(est_.r()));
     std::vector<double> v(static_cast<size_t>(est_.r()));
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = family_ == Family::kHt
-                   ? est_.EstimateHtRow(batch.param_row(i),
-                                        batch.seed_row(i),
-                                        batch.sampled_row(i),
-                                        batch.value_row(i), p.data(),
-                                        s.data(), v.data())
-                   : est_.EstimateLRow(batch.param_row(i),
-                                       batch.seed_row(i),
-                                       batch.sampled_row(i),
-                                       batch.value_row(i), p.data(),
-                                       s.data(), v.data());
-    }
-#endif
-  }
-  // Binary domain: OR(v)^2 = OR(v) (see OrWeightedTwoKernel).
-  double EstimateSecondMoment(const Outcome& outcome) const override {
-    return Estimate(outcome);
-  }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
-    EstimateMany(batch, out);
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    EstimateMany(batch, est);
-    BinaryVarianceFromEstimates(est, batch.size, var);
+    ScanRows(batch, est, nullptr, [&](int i, double*) {
+      return family_ == Family::kHt
+                 ? est_.EstimateHtRow(batch.param_row(i), batch.seed_row(i),
+                                      batch.sampled_row(i),
+                                      batch.value_row(i), p.data(), s.data(),
+                                      v.data())
+                 : est_.EstimateLRow(batch.param_row(i), batch.seed_row(i),
+                                     batch.sampled_row(i),
+                                     batch.value_row(i), p.data(), s.data(),
+                                     v.data());
+    });
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     PIE_RETURN_IF_ERROR(RequireR(static_cast<int>(values.size()), est_.r()));
@@ -1695,52 +1174,27 @@ class MinHtWeightedKernel : public EstimatorKernel {
     PIE_DCHECK(outcome.scheme == Scheme::kPps);
     return est_.Estimate(outcome.pps);
   }
-  void EstimateMany(BatchView batch, double* out) const override {
-    CheckBatchLayout(batch, Scheme::kPps,
-                     static_cast<int>(est_.tau().size()));
-#ifdef PIE_SIMD
-    MinHtBlocks(batch, est_.tau(), out, nullptr);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.EstimateRow(batch.sampled_row(i), batch.value_row(i));
-    }
-#endif
-  }
   double EstimateSecondMoment(const Outcome& outcome) const override {
     PIE_DCHECK(outcome.scheme == Scheme::kPps);
     return est_.SecondMomentRow(outcome.pps.sampled.data(),
                                 outcome.pps.value.data());
   }
-  void EstimateSecondMomentMany(BatchView batch, double* out) const override {
+  void Scan(BatchView batch, double* est, double* var) const override {
     CheckBatchLayout(batch, Scheme::kPps,
                      static_cast<int>(est_.tau().size()));
-#ifdef PIE_SIMD
-    MinHtBlocks(batch, est_.tau(), nullptr, out);
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      out[i] = est_.SecondMomentRow(batch.sampled_row(i),
-                                    batch.value_row(i));
+    if (kPartitionedScan) {
+      DispatchMode(var, [&](auto mode) {
+        MinHtBlocks<decltype(mode)::value>(batch, est_.tau(), est, var);
+      });
+      return;
     }
-#endif
-  }
-  void EstimateWithVarianceMany(BatchView batch, double* est,
-                                double* var) const override {
-    CheckBatchLayout(batch, Scheme::kPps,
-                     static_cast<int>(est_.tau().size()));
-#ifdef PIE_SIMD
-    MinHtBlocks(batch, est_.tau(), est, var);
-    for (int i = 0; i < batch.size; ++i) {
-      var[i] = est[i] * est[i] - var[i];
-    }
-#else
-    for (int i = 0; i < batch.size; ++i) {
-      double second;
+    ScanRows(batch, est, var, [&](int i, double* second) {
+      double e, s;
       est_.EstimateWithSecondMomentRow(batch.sampled_row(i),
-                                       batch.value_row(i), &est[i],
-                                       &second);
-      var[i] = est[i] * est[i] - second;
-    }
-#endif
+                                       batch.value_row(i), &e, &s);
+      if (second != nullptr) *second = s;
+      return e;
+    });
   }
   Result<double> Variance(const std::vector<double>& values) const override {
     return est_.Variance(values);
@@ -1759,19 +1213,21 @@ class MinHtWeightedKernel : public EstimatorKernel {
 
 using KernelResult = Result<std::unique_ptr<EstimatorKernel>>;
 
+template <typename K, typename... Args>
+KernelResult Make(Args&&... args) {
+  return std::unique_ptr<EstimatorKernel>(new K(std::forward<Args>(args)...));
+}
+
 KernelResult MakeMaxObliviousL(const KernelSpec&,
                                const SamplingParams& params) {
   const auto& p = params.per_entry;
   if (params.r() == 2) {
-    return std::unique_ptr<EstimatorKernel>(new MaxLTwoKernel(p[0], p[1]));
+    return Make<ObliviousTwoKernel<MaxLTwo, MaxLTwoForms>>(
+        p[0], p[1], "max^(L) oblivious r=2");
   }
-  if (params.r() == 3) {
-    return std::unique_ptr<EstimatorKernel>(
-        new MaxLThreeKernel(p[0], p[1], p[2]));
-  }
+  if (params.r() == 3) return Make<MaxLThreeKernel>(p[0], p[1], p[2]);
   if (params.r() >= 1 && params.IsUniform()) {
-    return std::unique_ptr<EstimatorKernel>(
-        new MaxLUniformKernel(params.r(), p[0]));
+    return Make<MaxLUniformKernel>(params.r(), p[0]);
   }
   return Status::InvalidArgument(
       "general-p max^(L) has closed forms only for r <= 3; r >= 4 requires "
@@ -1781,33 +1237,33 @@ KernelResult MakeMaxObliviousL(const KernelSpec&,
 KernelResult MakeMaxObliviousU(const KernelSpec&,
                                const SamplingParams& params) {
   PIE_RETURN_IF_ERROR(RequireR(params.r(), 2));
-  return std::unique_ptr<EstimatorKernel>(
-      new MaxUTwoKernel(params.per_entry[0], params.per_entry[1]));
+  return Make<ObliviousTwoKernel<MaxUTwo, MaxUTwoForms>>(
+      params.per_entry[0], params.per_entry[1], "max^(U) oblivious r=2");
 }
 
 KernelResult MakeMaxObliviousUAsym(const KernelSpec&,
                                    const SamplingParams& params) {
   PIE_RETURN_IF_ERROR(RequireR(params.r(), 2));
-  return std::unique_ptr<EstimatorKernel>(
-      new MaxUAsymTwoKernel(params.per_entry[0], params.per_entry[1]));
+  return Make<ObliviousTwoKernel<MaxUAsymTwo, MaxUAsymTwoForms>>(
+      params.per_entry[0], params.per_entry[1], "max^(Uas) oblivious r=2");
 }
 
 KernelResult MakeMaxObliviousHt(const KernelSpec&,
                                 const SamplingParams& params) {
-  return std::unique_ptr<EstimatorKernel>(new ObliviousHtKernel(
+  return Make<ObliviousHtKernel>(
       "max^(HT) oblivious r=" + std::to_string(params.r()), MaxOf,
-      params.per_entry));
+      params.per_entry);
 }
 
 KernelResult MakeOrObliviousL(const KernelSpec&,
                               const SamplingParams& params) {
   const auto& p = params.per_entry;
   if (params.r() == 2) {
-    return std::unique_ptr<EstimatorKernel>(new OrLTwoKernel(p[0], p[1]));
+    return Make<OrTwoKernel<OrLTwo, OrLTwoForms>>(p[0], p[1],
+                                                  "OR^(L) oblivious r=2");
   }
   if (params.r() >= 1 && params.IsUniform()) {
-    return std::unique_ptr<EstimatorKernel>(
-        new OrLUniformKernel(params.r(), p[0]));
+    return Make<OrLUniformKernel>(params.r(), p[0]);
   }
   return Status::InvalidArgument(
       "general-p OR^(L) has closed forms only for r = 2; r >= 3 requires "
@@ -1817,37 +1273,36 @@ KernelResult MakeOrObliviousL(const KernelSpec&,
 KernelResult MakeOrObliviousU(const KernelSpec&,
                               const SamplingParams& params) {
   PIE_RETURN_IF_ERROR(RequireR(params.r(), 2));
-  return std::unique_ptr<EstimatorKernel>(
-      new OrUTwoKernel(params.per_entry[0], params.per_entry[1]));
+  return Make<OrTwoKernel<OrUTwo, OrUTwoForms>>(
+      params.per_entry[0], params.per_entry[1], "OR^(U) oblivious r=2");
 }
 
 KernelResult MakeOrObliviousHt(const KernelSpec&,
                                const SamplingParams& params) {
-  return std::unique_ptr<EstimatorKernel>(new ObliviousHtKernel(
+  return Make<ObliviousHtKernel>(
       "OR^(HT) oblivious r=" + std::to_string(params.r()), OrOf,
-      params.per_entry));
+      params.per_entry);
 }
 
 KernelResult MakeMaxPpsL(const KernelSpec&, const SamplingParams& params) {
   PIE_RETURN_IF_ERROR(RequireR(params.r(), 2));
-  return std::unique_ptr<EstimatorKernel>(new MaxLWeightedTwoKernel(
-      params.per_entry[0], params.per_entry[1], params.quad_tol));
+  return Make<MaxLWeightedTwoKernel>(params.per_entry[0], params.per_entry[1],
+                                     params.quad_tol);
 }
 
 KernelResult MakeMaxPpsHt(const KernelSpec&, const SamplingParams& params) {
   if (params.r() < 1) return Status::InvalidArgument("empty params");
-  return std::unique_ptr<EstimatorKernel>(
-      new MaxHtWeightedKernel(params.per_entry));
+  return Make<MaxHtWeightedKernel>(params.per_entry);
 }
 
 KernelResult MakeOrPps(const KernelSpec& spec, const SamplingParams& params) {
   if (params.r() == 2) {
-    return std::unique_ptr<EstimatorKernel>(new OrWeightedTwoKernel(
-        params.per_entry[0], params.per_entry[1], spec.family));
+    return Make<OrWeightedTwoKernel>(params.per_entry[0], params.per_entry[1],
+                                     spec.family);
   }
   if (spec.family != Family::kU && params.r() >= 1 && params.IsUniform()) {
-    return std::unique_ptr<EstimatorKernel>(new OrWeightedUniformKernel(
-        params.r(), params.per_entry[0], spec.family));
+    return Make<OrWeightedUniformKernel>(params.r(), params.per_entry[0],
+                                         spec.family);
   }
   return Status::InvalidArgument(
       "weighted OR supports r = 2 (any thresholds) or uniform tau (HT/L)");
@@ -1855,8 +1310,7 @@ KernelResult MakeOrPps(const KernelSpec& spec, const SamplingParams& params) {
 
 KernelResult MakeMinPpsHt(const KernelSpec&, const SamplingParams& params) {
   if (params.r() < 1) return Status::InvalidArgument("empty params");
-  return std::unique_ptr<EstimatorKernel>(
-      new MinHtWeightedKernel(params.per_entry));
+  return Make<MinHtWeightedKernel>(params.per_entry);
 }
 
 KernelResult MakeLthLargestHt(const KernelSpec& spec,
@@ -1865,11 +1319,11 @@ KernelResult MakeLthLargestHt(const KernelSpec& spec,
     return Status::InvalidArgument("order statistic l must be in [1, r]");
   }
   const int l = spec.l;
-  return std::unique_ptr<EstimatorKernel>(new ObliviousHtKernel(
+  return Make<ObliviousHtKernel>(
       "lth-largest^(HT) oblivious l=" + std::to_string(l) +
           " r=" + std::to_string(params.r()),
       [l](const std::vector<double>& v) { return LthOf(v, l); },
-      params.per_entry));
+      params.per_entry);
 }
 
 void RegisterBuiltins(KernelRegistry& registry) {

@@ -1,97 +1,24 @@
-// Runtime SIMD-tier dispatch and gather-prefetch configuration.
+// The SIMD tier a build compiled.
 //
-// The build compiles up to three execution tiers of the partitioned kernel
-// paths:
-//  * generic  -- the portable loops (PIE_SIMD=OFF), or the branch-free
-//                AVX2 auto-vectorized loops (PIE_SIMD=ON). Chosen at
-//                compile time; "scalar" and "avx2" name the same code in a
-//                given build.
-//  * avx512   -- hand-written AVX-512F helpers (engine/simd_avx512.cc,
-//                PIE_SIMD_AVX512=ON) for the bucket gather/scatter and the
-//                regime-compaction loops the AVX2 tier leaves scalar.
-//                Selected at RUNTIME via CPUID, so a PIE_SIMD_AVX512
-//                binary stays safe on machines without AVX-512.
-//
-// Every tier is bitwise identical to every other: the AVX-512 helpers are
-// pure data movement (gathers/scatters/compress of untouched doubles) and
-// predicate evaluation replicating the scalar comparison semantics, so no
-// floating-point result depends on the tier (enforced both ways by
-// tests/simd_dispatch_test.cc and the registry-wide sweeps).
-//
-// Env knobs (strict parsing, ParsePieThreads-style: garbage warns once on
-// stderr, bumps pie_config_errors_total, and falls back to the default):
-//  * PIE_SIMD_TIER     -- "scalar" | "avx2" | "avx512": force a tier for
-//                         tests/debugging. Requests above the build+CPU
-//                         ceiling clamp down; the effective tier is
-//                         exported as the pie_simd_tier gauge.
-//  * PIE_PREFETCH_DIST -- software-prefetch distance in rows for the slab
-//                         gather loops (0 disables; default
-//                         kPieDefaultPrefetchRows).
+// PIE_SIMD builds (the default, x86_64 only) compile the pattern-partitioned
+// branch-free kernel paths for AVX2 (engine/registry.cc); PIE_SIMD=OFF
+// builds compile the portable scalar row loop. The tier is fixed at build
+// time -- there is no runtime dispatch -- and both tiers produce identical
+// bits (tests/batch_equivalence_test.cc runs in both configurations).
 
 #pragma once
 
-#include <atomic>
-
 namespace pie {
 
-/// Execution tiers, ordered: higher enables strictly more ISA. kScalar and
-/// kAvx2 select the same compiled code within one build (the generic
-/// paths); the distinction documents which build produced it and lets
-/// tests exercise the clamping logic.
-enum class SimdTier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+enum class SimdTier : int { kScalar = 0, kAvx2 = 1 };
 
-/// Strict parse of a PIE_SIMD_TIER value: optional surrounding whitespace
-/// around exactly "scalar", "avx2", or "avx512" (lowercase). Returns false
-/// on anything else (empty, case variants, prefixes, trailing garbage).
-bool ParseSimdTier(const char* text, SimdTier* out);
-
-/// Default and maximum gather-prefetch distances, in rows.
-inline constexpr int kPieDefaultPrefetchRows = 256;
-inline constexpr int kMaxPrefetchRows = 1 << 20;
-
-/// Strict parse of a PIE_PREFETCH_DIST value: optional whitespace, an
-/// optional '+', decimal digits only, range [0, kMaxPrefetchRows] (0 means
-/// "disable prefetch"). Sets *invalid and returns 0 on anything else.
-int ParsePrefetchDistance(const char* text, bool* invalid);
-
-/// The tier ceiling this build + this CPU can execute: kAvx512 only when
-/// PIE_SIMD_AVX512 is compiled in AND cpuid reports avx512f; kAvx2 when
-/// PIE_SIMD is on; else kScalar.
-SimdTier MaxSupportedSimdTier();
-
-/// The effective tier: min(requested, ceiling), resolved once from
-/// PIE_SIMD_TIER (invalid values warn once + bump pie_config_errors_total)
-/// and exported as the pie_simd_tier gauge.
-SimdTier ActiveSimdTier();
-
-/// Forces the effective tier (clamped to MaxSupportedSimdTier) -- test
-/// hook; updates the pie_simd_tier gauge. Returns the tier actually set.
-SimdTier SetSimdTierForTest(SimdTier tier);
-
-/// Effective prefetch distance in rows (0 = disabled), resolved once from
-/// PIE_PREFETCH_DIST with the same invalid-value protocol.
-int PrefetchDistanceRows();
-
-/// Forces the prefetch distance (clamped to [0, kMaxPrefetchRows]) -- test
-/// and bench hook. Returns the distance actually set.
-int SetPrefetchDistanceForTest(int rows);
-
-namespace simd_internal {
-/// Resolved state, -1 until first use. Inline atomics so the hot-path
-/// checks below are a single relaxed load after resolution (and stay
-/// race-free under TSan when tests flip tiers).
-inline std::atomic<int> g_tier{-1};
-inline std::atomic<int> g_prefetch{-1};
-int ResolveTierSlow();
-int ResolvePrefetchSlow();
-}  // namespace simd_internal
-
-/// True when the AVX-512 helper tier is active -- the hot-path dispatch
-/// check compiled into the partition helpers (one relaxed load).
-inline bool UseAvx512Tier() {
-  const int tier = simd_internal::g_tier.load(std::memory_order_relaxed);
-  return (tier >= 0 ? tier : simd_internal::ResolveTierSlow()) >=
-         static_cast<int>(SimdTier::kAvx512);
+/// The tier this build compiled: kAvx2 under PIE_SIMD, kScalar otherwise.
+constexpr SimdTier ActiveSimdTier() {
+#ifdef PIE_SIMD
+  return SimdTier::kAvx2;
+#else
+  return SimdTier::kScalar;
+#endif
 }
 
 }  // namespace pie

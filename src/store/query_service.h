@@ -6,18 +6,18 @@
 // shard: each shard's keys are assembled into a per-shard columnar
 // OutcomeBatch (flat value/threshold/seed/sampled slabs, allocation-free
 // in steady state) and driven through the estimation engine's memoized
-// kernels with one EstimateMany pass per kernel, with a final
+// kernels with one Scan pass per kernel, with a final
 // deterministic reduction in shard order. Shards are independent, so the
 // scan fans out across worker threads; results are bitwise identical for
 // any thread count because each shard's partial is computed identically
-// (EstimateMany overrides are bitwise-identical to the scalar path) and
+// (Scan overrides are bitwise-identical to the scalar path) and
 // the reduction order is fixed.
 //
 // Since PR 4 every aggregate returns an IntervalEstimate {estimate,
 // std_err, lo, hi} rather than a bare double: each shard scan accumulates
 // unbiased per-key variance estimates into mergeable AccuracyAccumulators
-// (src/accuracy/). The with-variance scan is FUSED -- one
-// EstimateWithVarianceMany slab pass per chunk produces the estimate and
+// (src/accuracy/). The with-variance scan is FUSED -- one with-variance
+// Scan slab pass per chunk produces the estimate and
 // its variance together, through the deterministic chunked driver of
 // engine/parallel_scan.h -- so error bars cost a fraction of a second
 // pass, and point estimates stay bitwise identical to EstimateSum.

@@ -137,40 +137,6 @@ TEST(SecondMomentTest, UnbiasedForSquaredTargetAcrossRegistry) {
   }
 }
 
-TEST(SecondMomentTest, BatchedPathBitwiseMatchesScalarAcrossRegistry) {
-  for (const auto& entry : KernelRegistry::Global().Entries()) {
-    for (const auto& params : entry.example_params) {
-      auto kernel = entry.factory(entry.spec, params);
-      ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
-      Rng rng(HashCombine(HashBytes(entry.spec.ToString()), 77));
-      const auto vectors = DataVectors(entry, params);
-      for (const int batch_size : {0, 1, 63, 256}) {
-        OutcomeBatch batch;
-        batch.Reset(entry.spec.scheme, params.r());
-        std::vector<Outcome> outcomes;
-        for (int i = 0; i < batch_size; ++i) {
-          const auto& values = vectors[static_cast<size_t>(i) % 2];
-          outcomes.push_back(
-              SampleOutcome(entry.spec.scheme, params, values, rng));
-          if (entry.spec.scheme == Scheme::kOblivious) {
-            batch.Append(outcomes.back().oblivious);
-          } else {
-            batch.Append(outcomes.back().pps);
-          }
-        }
-        std::vector<double> batched(static_cast<size_t>(batch.size()) + 1);
-        (*kernel)->EstimateSecondMomentMany(batch.view(), batched.data());
-        for (int i = 0; i < batch_size; ++i) {
-          EXPECT_TRUE(BitwiseEqual(batched[static_cast<size_t>(i)],
-                                   (*kernel)->EstimateSecondMoment(
-                                       outcomes[static_cast<size_t>(i)])))
-              << (*kernel)->name() << " row " << i;
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // AccuracyAccumulator: point estimates unchanged, merge determinism
 // ---------------------------------------------------------------------------

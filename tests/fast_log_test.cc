@@ -156,7 +156,7 @@ TEST(FastLogTierTest, ScanIsBitwiseDeterministicAcrossThreadsAndShapes) {
 
   std::vector<double> est(kRows), fused_est(kRows), fused_var(kRows);
   kernel->EstimateMany(view, est.data());
-  kernel->EstimateWithVarianceMany(view, fused_est.data(), fused_var.data());
+  kernel->Scan(view, fused_est.data(), fused_var.data());
 
   // Batch shape must not matter: re-run EstimateMany over ragged slices.
   for (int chunk : {1, 127, 256, 1000}) {

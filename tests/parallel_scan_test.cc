@@ -1,9 +1,5 @@
-// The fused-scan and parallel-driver invariants:
-//  * registry sweep: EstimateWithVarianceMany is BITWISE identical to the
-//    two separate EstimateMany / EstimateSecondMomentMany passes it fuses
-//    (est equal to the estimate pass, var equal to est^2 - second moment),
-//    on randomized batches including empty and single-row ones -- so every
-//    driver can switch to the fused call without perturbing results;
+// The parallel-driver invariants (the per-row Scan == scalar sweep lives
+// in tests/batch_equivalence_test.cc):
 //  * the deterministic scan driver (engine/parallel_scan.h) produces the
 //    same bytes for 1, 2, and 8 threads -- fixed-size chunking plus a
 //    fixed-shape pairwise tree reduction make the output a function of the
@@ -72,45 +68,6 @@ void FillRandomBatch(const KernelEntry& entry, const SamplingParams& params,
       batch->Append(o.oblivious);
     } else {
       batch->Append(o.pps);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fused pass == two-pass bridge, registry-wide
-// ---------------------------------------------------------------------------
-
-TEST(FusedScanTest, EstimateWithVarianceManyBitwiseMatchesTwoPasses) {
-  for (const auto& entry : KernelRegistry::Global().Entries()) {
-    for (const auto& params : entry.example_params) {
-      auto kernel = entry.factory(entry.spec, params);
-      ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
-      Rng rng(HashCombine(HashBytes(entry.spec.ToString()),
-                          static_cast<uint64_t>(params.r()) + 31));
-      for (const int batch_size : {0, 1, 2, 57, 256, 700}) {
-        OutcomeBatch batch;
-        FillRandomBatch(entry, params, batch_size, rng, &batch);
-        const BatchView view = batch.view();
-
-        std::vector<double> est_two(static_cast<size_t>(batch_size) + 1);
-        std::vector<double> second(static_cast<size_t>(batch_size) + 1);
-        (*kernel)->EstimateMany(view, est_two.data());
-        (*kernel)->EstimateSecondMomentMany(view, second.data());
-
-        std::vector<double> est_fused(static_cast<size_t>(batch_size) + 1);
-        std::vector<double> var_fused(static_cast<size_t>(batch_size) + 1);
-        (*kernel)->EstimateWithVarianceMany(view, est_fused.data(),
-                                            var_fused.data());
-
-        for (int i = 0; i < batch_size; ++i) {
-          const size_t s = static_cast<size_t>(i);
-          EXPECT_TRUE(BitwiseEqual(est_fused[s], est_two[s]))
-              << (*kernel)->name() << " estimate row " << i;
-          EXPECT_TRUE(BitwiseEqual(var_fused[s],
-                                   est_two[s] * est_two[s] - second[s]))
-              << (*kernel)->name() << " variance row " << i;
-        }
-      }
     }
   }
 }

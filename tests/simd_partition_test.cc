@@ -1,39 +1,15 @@
-// Pattern-partition units plus the registry-wide crafted-pattern bitwise
-// sweep behind the PIE_SIMD contract: for every registered kernel, the
-// batch paths (EstimateMany / EstimateSecondMomentMany /
-// EstimateWithVarianceMany -- pattern-partitioned branch-free loops when
-// PIE_SIMD is on, the portable loops when off) must be BITWISE identical
-// to the scalar per-row Estimate / EstimateSecondMoment path on batches of
-// every pattern shape: empty, single-row, all-sampled, none-sampled, and
-// mixed patterns crossing partition-block boundaries. Run in both CMake
-// configs (the scalar-fallback CI job builds -DPIE_SIMD=OFF), this pins
-// partitioned == fallback == scalar through the shared scalar reference.
+// Pattern-partition units: the stable bucket permutations and the
+// gather/scatter helpers under the PIE_SIMD block loops of
+// engine/registry.cc. The registry-wide bitwise sweep over those loops
+// lives in tests/batch_equivalence_test.cc.
 
-#include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <string>
-#include <vector>
 
-#include "engine/engine.h"
 #include "engine/pattern_partition.h"
-#include "engine/registry.h"
 #include "gtest/gtest.h"
-#include "util/hashing.h"
-#include "util/random.h"
 
 namespace pie {
 namespace {
-
-::testing::AssertionResult BitwiseEqual(double a, double b) {
-  uint64_t ba, bb;
-  std::memcpy(&ba, &a, sizeof(ba));
-  std::memcpy(&bb, &b, sizeof(bb));
-  if (ba == bb) return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure()
-         << a << " and " << b << " differ (bits 0x" << std::hex << ba
-         << " vs 0x" << bb << ")";
-}
 
 // ---------------------------------------------------------------------------
 // Partition units
@@ -87,118 +63,6 @@ TEST(PatternPartitionTest, GatherScatterRoundTrip) {
   EXPECT_EQ(out[1], 0.0);
   EXPECT_EQ(out[2], -1.0);
   EXPECT_EQ(out[3], 7.5);
-}
-
-// ---------------------------------------------------------------------------
-// Registry-wide crafted-pattern sweep
-// ---------------------------------------------------------------------------
-
-enum class PatternShape { kAllSampled, kNoneSampled, kMixed };
-
-/// Fills one handcrafted row: `pattern` gives the sampled flags; values
-/// respect each kernel family's domain (binary for OR -- exactly 1.0 on
-/// sampled entries of weighted OR, whose mapping checks set semantics;
-/// scaled nonnegative reals otherwise), and seeds are always populated for
-/// PPS so identifiability bounds of unsampled entries are exercised.
-void FillRow(const KernelEntry& entry, const SamplingParams& params,
-             unsigned pattern, Rng& rng, OutcomeBatch* batch) {
-  const int r = params.r();
-  const int i = batch->AppendRow();
-  uint8_t* sampled = batch->sampled_row(i);
-  double* value = batch->value_row(i);
-  double* param = batch->param_row(i);
-  double scale = 10.0;
-  if (entry.spec.scheme == Scheme::kPps) {
-    for (double tau : params.per_entry) scale = std::fmax(scale, tau);
-  }
-  for (int j = 0; j < r; ++j) {
-    param[j] = params.per_entry[static_cast<size_t>(j)];
-    sampled[j] = (pattern >> j) & 1u;
-    if (entry.spec.function == Function::kOr) {
-      value[j] = sampled[j] != 0 ? 1.0 : 0.0;
-    } else {
-      value[j] = sampled[j] != 0 ? rng.UniformDouble(0.0, 1.5 * scale) : 0.0;
-    }
-  }
-  if (entry.spec.scheme == Scheme::kPps) {
-    double* seed = batch->seed_row(i);
-    for (int j = 0; j < r; ++j) seed[j] = rng.UniformDouble();
-  }
-}
-
-void FillPatternBatch(const KernelEntry& entry, const SamplingParams& params,
-                      PatternShape shape, int size, Rng& rng,
-                      OutcomeBatch* batch) {
-  const int r = params.r();
-  batch->Reset(entry.spec.scheme, r);
-  const unsigned all = (1u << r) - 1u;
-  for (int i = 0; i < size; ++i) {
-    unsigned pattern = 0;
-    switch (shape) {
-      case PatternShape::kAllSampled:
-        pattern = all;
-        break;
-      case PatternShape::kNoneSampled:
-        pattern = 0;
-        break;
-      case PatternShape::kMixed:
-        // Every pattern appears, in a block-crossing repeating order.
-        pattern = static_cast<unsigned>(i) % (all + 1u);
-        break;
-    }
-    FillRow(entry, params, pattern, rng, batch);
-  }
-}
-
-TEST(SimdPartitionTest, BatchPathsMatchScalarOnCraftedPatterns) {
-  struct Case {
-    PatternShape shape;
-    int size;
-  };
-  const Case cases[] = {
-      {PatternShape::kMixed, 0},        {PatternShape::kMixed, 1},
-      {PatternShape::kAllSampled, 1},   {PatternShape::kNoneSampled, 1},
-      {PatternShape::kAllSampled, 300}, {PatternShape::kNoneSampled, 300},
-      {PatternShape::kMixed, 257},      {PatternShape::kMixed, 700},
-  };
-  for (const auto& entry : KernelRegistry::Global().Entries()) {
-    for (const auto& params : entry.example_params) {
-      auto kernel = entry.factory(entry.spec, params);
-      ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
-      Rng rng(HashCombine(HashBytes(entry.spec.ToString()),
-                          static_cast<uint64_t>(params.r()) + 97));
-      for (const auto& c : cases) {
-        OutcomeBatch batch;
-        FillPatternBatch(entry, params, c.shape, c.size, rng, &batch);
-        const BatchView view = batch.view();
-        const size_t n = static_cast<size_t>(c.size);
-
-        std::vector<double> est(n + 1), second(n + 1);
-        std::vector<double> fused_est(n + 1), fused_var(n + 1);
-        (*kernel)->EstimateMany(view, est.data());
-        (*kernel)->EstimateSecondMomentMany(view, second.data());
-        (*kernel)->EstimateWithVarianceMany(view, fused_est.data(),
-                                            fused_var.data());
-
-        Outcome row;
-        for (int i = 0; i < c.size; ++i) {
-          const size_t s = static_cast<size_t>(i);
-          ExtractRow(view, i, &row);
-          const double scalar_est = (*kernel)->Estimate(row);
-          const double scalar_second = (*kernel)->EstimateSecondMoment(row);
-          const std::string label = (*kernel)->name() + " size " +
-                                    std::to_string(c.size) + " row " +
-                                    std::to_string(i);
-          EXPECT_TRUE(BitwiseEqual(est[s], scalar_est)) << label;
-          EXPECT_TRUE(BitwiseEqual(second[s], scalar_second)) << label;
-          EXPECT_TRUE(BitwiseEqual(fused_est[s], scalar_est)) << label;
-          EXPECT_TRUE(BitwiseEqual(
-              fused_var[s], scalar_est * scalar_est - scalar_second))
-              << label;
-        }
-      }
-    }
-  }
 }
 
 }  // namespace
