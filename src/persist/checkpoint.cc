@@ -10,9 +10,11 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "engine/engine.h"
+#include "engine/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/hashing.h"
@@ -109,23 +111,29 @@ bool SameStoreOptions(const SketchStoreOptions& a,
   return true;
 }
 
-/// Loads and verifies one shard file of generation `seq` against its
-/// manifest entry: byte accounting (size + whole-file CRC), shard decode,
-/// and per-sketch configuration checks against the manifest's options.
-Result<ShardFileData> LoadShard(FileSystem& fs, const std::string& dir,
-                                const Manifest& manifest, uint64_t seq,
-                                int s) {
-  const std::string path =
-      dir + "/" + ShardFileName(seq, static_cast<uint32_t>(s));
-  auto bytes = ReadFileBytes(fs, path);
-  if (!bytes.ok()) return bytes.status();
+/// Verifies one shard file of a generation against its manifest entry and
+/// decodes it: byte accounting (size + whole-file CRC), shard decode, and
+/// per-sketch configuration checks against the manifest's options. Touches
+/// no filesystem and no shared state, so shards verify in parallel.
+Result<ShardFileData> VerifyShard(std::string_view bytes,
+                                  const std::string& path,
+                                  const Manifest& manifest, int s) {
   const ManifestShardEntry& entry = manifest.shards[static_cast<size_t>(s)];
-  if (bytes->size() != entry.file_size ||
-      Crc32c(bytes->data(), bytes->size()) != entry.file_crc) {
+  auto disagrees = [&path] {
     return Status::DataLoss("persist: " + path +
                             " disagrees with its manifest entry");
+  };
+  if (bytes.size() != entry.file_size) return disagrees();
+  // One CRC pass serves two checks: the footer holds the CRC of all but
+  // the file's last 4 bytes, the manifest the whole-file CRC, which is the
+  // footer's CRC chained over those 4 bytes.
+  const size_t body = bytes.size() >= 4 ? bytes.size() - 4 : 0;
+  const uint32_t body_crc = Crc32c(bytes.data(), body);
+  if (Crc32c(bytes.data() + body, bytes.size() - body, body_crc) !=
+      entry.file_crc) {
+    return disagrees();
   }
-  auto shard = DecodeShardFile(*bytes);
+  auto shard = DecodeShardFile(bytes, body_crc);
   if (!shard.ok()) return shard.status();
   if (shard->shard_index != static_cast<uint32_t>(s) ||
       shard->num_shards !=
@@ -148,8 +156,47 @@ Result<ShardFileData> LoadShard(FileSystem& fs, const std::string& dir,
   return shard;
 }
 
+/// Loads the shard files of generation `seq` into (*shards)[s] and returns
+/// one status per shard attempted. The files are read on the calling
+/// thread in shard order, so the filesystem sees the same operations in
+/// the same order at any pool width; with `stop_at_read_error` the reads
+/// (and the returned statuses) end at the first failed read. Verify and
+/// decode then run on the worker pool (PIE_THREADS wide), each shard into
+/// its own slot; callers reduce the statuses in shard order.
+std::vector<Status> LoadShards(FileSystem& fs, const std::string& dir,
+                               const Manifest& manifest, uint64_t seq,
+                               bool stop_at_read_error,
+                               std::vector<ShardFileData>* shards) {
+  const int num_shards = manifest.options.num_shards;
+  std::vector<std::string> paths;
+  std::vector<std::string> files;
+  std::vector<Status> status;
+  for (int s = 0; s < num_shards; ++s) {
+    paths.push_back(dir + "/" + ShardFileName(seq, static_cast<uint32_t>(s)));
+    auto bytes = ReadFileBytes(fs, paths.back());
+    status.push_back(bytes.status());
+    files.push_back(bytes.ok() ? std::move(bytes).value() : std::string());
+    if (!bytes.ok() && stop_at_read_error) break;
+  }
+  shards->resize(static_cast<size_t>(num_shards));
+  WorkerPool::Global().ParallelFor(
+      static_cast<int>(files.size()), ResolveParallelism(0), [&](int s) {
+        const auto i = static_cast<size_t>(s);
+        if (!status[i].ok()) return;
+        auto shard = VerifyShard(files[i], paths[i], manifest, s);
+        std::string().swap(files[i]);  // decoded: free the bytes now
+        if (shard.ok()) {
+          (*shards)[i] = std::move(shard).value();
+        } else {
+          status[i] = shard.status();
+        }
+      });
+  return status;
+}
+
 /// Loads and fully verifies generation `seq` of `dir`; any missing,
-/// truncated, or misconfigured file fails the whole generation.
+/// truncated, or misconfigured file fails the whole generation with the
+/// error of its lowest-index bad shard.
 Result<LoadedCheckpoint> LoadGeneration(FileSystem& fs,
                                         const std::string& dir,
                                         uint64_t seq) {
@@ -161,12 +208,10 @@ Result<LoadedCheckpoint> LoadGeneration(FileSystem& fs,
 
   LoadedCheckpoint out;
   out.manifest = std::move(manifest).value();
-  const int num_shards = out.manifest.options.num_shards;
-  out.shards.reserve(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    auto shard = LoadShard(fs, dir, out.manifest, seq, s);
-    if (!shard.ok()) return shard.status();
-    out.shards.push_back(std::move(shard).value());
+  for (const Status& status : LoadShards(fs, dir, out.manifest, seq,
+                                         /*stop_at_read_error=*/true,
+                                         &out.shards)) {
+    if (!status.ok()) return status;
   }
   return out;
 }
@@ -187,18 +232,19 @@ Result<LoadedCheckpoint> LoadGenerationDegraded(FileSystem& fs,
   LoadedCheckpoint out;
   out.manifest = std::move(manifest).value();
   const int num_shards = out.manifest.options.num_shards;
-  out.shards.resize(static_cast<size_t>(num_shards));
+  const std::vector<Status> status =
+      LoadShards(fs, dir, out.manifest, seq, /*stop_at_read_error=*/false,
+                 &out.shards);
   out.shard_absent.assign(static_cast<size_t>(num_shards), 0);
   int present = 0;
   for (int s = 0; s < num_shards; ++s) {
-    auto shard = LoadShard(fs, dir, out.manifest, seq, s);
-    if (shard.ok()) {
-      out.shards[static_cast<size_t>(s)] = std::move(shard).value();
+    const Status& shard_status = status[static_cast<size_t>(s)];
+    if (shard_status.ok()) {
       ++present;
     } else {
       out.shard_absent[static_cast<size_t>(s)] = 1;
       metrics.degraded_shards.Increment();
-      if (shard.status().code() == StatusCode::kNotFound) {
+      if (shard_status.code() == StatusCode::kNotFound) {
         metrics.scan_skips.Increment();
       }
     }

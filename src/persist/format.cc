@@ -1,12 +1,8 @@
 #include "persist/format.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <unordered_set>
-
-#include "sampling/rank.h"
-#include "util/hashing.h"
+#include <cstring>
 
 namespace pie::persist {
 
@@ -16,28 +12,31 @@ Status Corrupt(const std::string& what) {
   return Status::DataLoss("persist: " + what);
 }
 
-bool ByRank(const BottomKSketch::Entry& a, const BottomKSketch::Entry& b) {
-  return a.rank < b.rank;
-}
-
 /// Reads one `count x u64` keys slab + one `count x f64` weights slab,
 /// each followed by its CRC, into `out` (keys then weights). The caller
-/// has already bounded `count` against remaining().
+/// has already bounded `count` against remaining(), so each slab is
+/// bounds-checked once and copied out of the buffer only after its CRC
+/// matched.
 bool ReadSlabs(WireReader* r, uint64_t count,
                std::vector<WeightedItem>* out) {
-  out->resize(count);
-  size_t from = r->offset();
-  for (auto& item : *out) r->U64(&item.key);
-  const uint32_t keys_crc_actual = r->CrcOver(from);
-  uint32_t keys_crc = 0;
+  const size_t slab_bytes = static_cast<size_t>(count) * 8;
+  const char* keys = nullptr;
+  const char* weights = nullptr;
+  uint32_t keys_crc = 0, weights_crc = 0;
+  r->Span(slab_bytes, &keys);
   r->U32(&keys_crc);
-  from = r->offset();
-  for (auto& item : *out) r->F64(&item.weight);
-  const uint32_t weights_crc_actual = r->CrcOver(from);
-  uint32_t weights_crc = 0;
+  r->Span(slab_bytes, &weights);
   r->U32(&weights_crc);
-  return r->ok() && keys_crc == keys_crc_actual &&
-         weights_crc == weights_crc_actual;
+  if (!r->ok() || Crc32c(keys, slab_bytes) != keys_crc ||
+      Crc32c(weights, slab_bytes) != weights_crc) {
+    return false;
+  }
+  out->resize(count);
+  for (size_t i = 0; i < count; ++i) {
+    std::memcpy(&(*out)[i].key, keys + 8 * i, 8);
+    std::memcpy(&(*out)[i].weight, weights + 8 * i, 8);
+  }
+  return true;
 }
 
 void WriteSlabs(const std::vector<WeightedItem>& items, WireWriter* w) {
@@ -90,7 +89,8 @@ void WriteFooter(WireWriter* w) {
   w->U32(w->CrcSince(0));
 }
 
-Status VerifyFileIntegrity(std::string_view file) {
+Status VerifyFileIntegrity(std::string_view file,
+                           std::optional<uint32_t> body_crc) {
   constexpr size_t kFooterSize = 16;  // tag u32 + body len u64 + crc u32
   if (file.size() < kFooterSize) return Corrupt("file too short for footer");
   WireReader r(file.substr(file.size() - kFooterSize));
@@ -103,7 +103,7 @@ Status VerifyFileIntegrity(std::string_view file) {
   if (body_len != file.size() - kFooterSize) {
     return Corrupt("footer body length disagrees with file size");
   }
-  if (crc != Crc32c(file.data(), file.size() - 4)) {
+  if (crc != (body_crc ? *body_crc : Crc32c(file.data(), file.size() - 4))) {
     return Corrupt("file CRC mismatch");
   }
   return Status::OK();
@@ -133,9 +133,6 @@ Result<std::pair<int, StreamingPpsSketch>> DeserializePpsSketch(
   r->U64(&num_updates);
   if (!r->U64(&entry_count)) return Corrupt("truncated PPS block header");
   if (tag != kTagPps) return Corrupt("bad PPS block tag");
-  if (!(tau > 0) || !std::isfinite(tau)) {
-    return Corrupt("PPS block with invalid tau");
-  }
   // Bound the allocation by the bytes actually present: each entry needs
   // 16 slab bytes, so a corrupted count can never trigger a huge resize.
   if (entry_count > r->remaining() / 16) {
@@ -148,91 +145,13 @@ Result<std::pair<int, StreamingPpsSketch>> DeserializePpsSketch(
   if (!ReadSlabs(r, entry_count, &entries)) {
     return Corrupt("PPS slab truncated or CRC mismatch");
   }
-  // Sketch invariants, checked here with typed errors so corrupt (or
-  // crafted, CRC-fixed-up) files can never reach the PIE_CHECKs in
-  // FromParts: distinct keys, finite positive weights at or above each
-  // key's inclusion threshold.
-  const SeedFunction seed(salt);
-  std::unordered_set<uint64_t> keys;
-  keys.reserve(entries.size());
-  for (const auto& e : entries) {
-    if (!keys.insert(e.key).second) {
-      return Corrupt("PPS block with duplicate key");
-    }
-    if (!std::isfinite(e.weight) || e.weight <= 0 ||
-        e.weight < seed(e.key) * tau) {
-      return Corrupt("PPS entry violates the inclusion invariant");
-    }
-  }
-  return std::make_pair(
-      static_cast<int>(instance),
-      StreamingPpsSketch::FromParts(tau, salt, std::move(entries),
-                                    num_updates));
-}
-
-void SerializeBottomkSketch(const StreamingBottomkSketch& sketch,
-                            WireWriter* w) {
-  w->U32(kTagBtk);
-  w->I32(sketch.k());
-  w->U32(static_cast<uint32_t>(sketch.family()));
-  w->U64(sketch.salt());
-  w->U64(sketch.num_updates());
-  w->U64(static_cast<uint64_t>(sketch.pending().size()));
-  // Reuse the keys/weights slab shape; ranks are recomputed on load.
-  std::vector<WeightedItem> items;
-  items.reserve(sketch.pending().size());
-  for (const auto& slot : sketch.pending()) {
-    items.push_back({slot.key, slot.weight});
-  }
-  WriteSlabs(items, w);
-}
-
-Result<StreamingBottomkSketch> DeserializeBottomkSketch(WireReader* r) {
-  uint32_t tag = 0, family_raw = 0;
-  int32_t k = 0;
-  uint64_t salt = 0, num_updates = 0, slot_count = 0;
-  r->U32(&tag);
-  r->I32(&k);
-  r->U32(&family_raw);
-  r->U64(&salt);
-  r->U64(&num_updates);
-  if (!r->U64(&slot_count)) return Corrupt("truncated bottom-k block header");
-  if (tag != kTagBtk) return Corrupt("bad bottom-k block tag");
-  if (k <= 0) return Corrupt("bottom-k block with k <= 0");
-  if (family_raw > static_cast<uint32_t>(RankFamily::kExp)) {
-    return Corrupt("bottom-k block with unknown rank family");
-  }
-  const RankFamily family = static_cast<RankFamily>(family_raw);
-  if (slot_count > static_cast<uint64_t>(k) + 1) {
-    return Corrupt("bottom-k block with more than k+1 slots");
-  }
-  if (slot_count > r->remaining() / 16 || slot_count > num_updates) {
-    return Corrupt("bottom-k slot count exceeds remaining bytes or updates");
-  }
-  std::vector<WeightedItem> items;
-  if (!ReadSlabs(r, slot_count, &items)) {
-    return Corrupt("bottom-k slab truncated or CRC mismatch");
-  }
-  const SeedFunction seed(salt);
-  std::unordered_set<uint64_t> keys;
-  keys.reserve(items.size());
-  std::vector<BottomKSketch::Entry> slots;
-  slots.reserve(items.size());
-  for (const auto& item : items) {
-    if (!keys.insert(item.key).second) {
-      return Corrupt("bottom-k block with duplicate key");
-    }
-    if (!std::isfinite(item.weight) || item.weight <= 0) {
-      return Corrupt("bottom-k slot with nonpositive weight");
-    }
-    slots.push_back(
-        {item.key, item.weight, RankValue(family, item.weight, seed(item.key))});
-  }
-  if (!std::is_heap(slots.begin(), slots.end(), ByRank)) {
-    return Corrupt("bottom-k slots are not in heap order");
-  }
-  return StreamingBottomkSketch::FromParts(k, family, salt, std::move(slots),
-                                           num_updates);
+  // TryFromParts checks the sketch invariants once: a finite positive
+  // tau, finite positive weights at or above each key's inclusion
+  // threshold, and distinct keys while it builds the key index.
+  auto sketch = StreamingPpsSketch::TryFromParts(tau, salt, std::move(entries),
+                                                 num_updates);
+  if (!sketch.ok()) return Corrupt(sketch.status().message());
+  return std::make_pair(static_cast<int>(instance), std::move(sketch).value());
 }
 
 std::string EncodeShardFile(
@@ -250,8 +169,9 @@ std::string EncodeShardFile(
   return w.Take();
 }
 
-Result<ShardFileData> DecodeShardFile(std::string_view file) {
-  if (Status s = VerifyFileIntegrity(file); !s.ok()) return s;
+Result<ShardFileData> DecodeShardFile(std::string_view file,
+                                      std::optional<uint32_t> body_crc) {
+  if (Status s = VerifyFileIntegrity(file, body_crc); !s.ok()) return s;
   WireReader r(file);
   auto header = ReadFileHeader(&r);
   if (!header.ok()) return header.status();

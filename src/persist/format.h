@@ -21,13 +21,6 @@
 //   weights, each independently checksummed. Entry order is arrival order,
 //   which is what makes a serialize/deserialize round-trip bitwise.
 //
-//   bottom-k sketch block ("BTK1")
-//     u32 tag, i32 k, u32 family, u64 salt, u64 num_updates,
-//     u64 slot_count, keys slab + crc, weights slab + crc
-//   Ranks are not stored: RankValue(family, weight, seed(key)) is
-//   deterministic, so they are recomputed on load and the persisted heap
-//   order revalidated (std::is_heap).
-//
 //   shard file (file type 1)
 //     header, u32 shard_index, u32 num_shards, u64 sketch_count,
 //     sketch_count PPS blocks (ascending instance), footer
@@ -45,15 +38,20 @@
 // buffer, bad magic/version/tag, CRC mismatch, counts that exceed the
 // remaining bytes, values violating sketch invariants (duplicate keys,
 // nonpositive/non-finite weights, weights below the PPS inclusion
-// threshold, a non-heap bottom-k slot order) -- returns a typed
-// Status::DataLoss, never a PIE_CHECK abort and never out-of-bounds
-// access. tests/persist_test.cc sweeps truncations and bit flips over
-// every byte offset under ASan/UBSan to enforce this.
+// threshold) -- returns a typed Status::DataLoss, never a PIE_CHECK abort
+// and never out-of-bounds access. tests/persist_test.cc sweeps truncations
+// and bit flips over every byte offset under ASan/UBSan to enforce this.
+//
+// A shard file is checked in one order: its manifest entry (size and
+// whole-file CRC, persist/checkpoint.cc), the footer, each slab's CRC,
+// then the sketch invariants -- duplicate keys are found while
+// StreamingPpsSketch::TryFromParts builds the key index.
 
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -71,7 +69,6 @@ inline constexpr uint32_t kFormatVersion = 1;
 inline constexpr uint32_t kFileTypeShard = 1;
 inline constexpr uint32_t kFileTypeManifest = 2;
 inline constexpr uint32_t kTagPps = 0x31535050u;   // "PPS1"
-inline constexpr uint32_t kTagBtk = 0x314b5442u;   // "BTK1"
 inline constexpr uint32_t kTagFoot = 0x544f4f46u;  // "FOOT"
 
 /// Decoded common file header (magic/crc already verified).
@@ -91,7 +88,10 @@ void WriteFooter(WireWriter* w);
 /// file CRC matches. Run before any section decoding, so decoders only
 /// ever see files whose every byte checksummed clean (their own typed
 /// errors then guard against crafted files with fixed-up CRCs).
-Status VerifyFileIntegrity(std::string_view file);
+/// `body_crc`, when given, is the caller's Crc32c of all but the last 4
+/// bytes (the footer CRC's coverage), which saves a pass over the file.
+Status VerifyFileIntegrity(std::string_view file,
+                           std::optional<uint32_t> body_crc = std::nullopt);
 
 // Sketch blocks. Serialize appends one block; Deserialize consumes one,
 // validating tags, per-slab CRCs, and every sketch invariant.
@@ -99,10 +99,6 @@ void SerializePpsSketch(const StreamingPpsSketch& sketch, int instance,
                         WireWriter* w);
 Result<std::pair<int, StreamingPpsSketch>> DeserializePpsSketch(
     WireReader* r);
-
-void SerializeBottomkSketch(const StreamingBottomkSketch& sketch,
-                            WireWriter* w);
-Result<StreamingBottomkSketch> DeserializeBottomkSketch(WireReader* r);
 
 /// One generation's shard file: every instance sketch one shard held.
 std::string EncodeShardFile(uint32_t tier_tag, uint32_t shard_index,
@@ -115,7 +111,10 @@ struct ShardFileData {
   uint32_t num_shards = 0;
   std::vector<std::pair<int, StreamingPpsSketch>> sketches;
 };
-Result<ShardFileData> DecodeShardFile(std::string_view file);
+/// Verifies (VerifyFileIntegrity, passing `body_crc` on) and decodes a
+/// shard file.
+Result<ShardFileData> DecodeShardFile(
+    std::string_view file, std::optional<uint32_t> body_crc = std::nullopt);
 
 /// The manifest commits a checkpoint generation: it is written last, and a
 /// generation is complete iff its manifest decodes clean and every listed

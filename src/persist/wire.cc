@@ -3,6 +3,10 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <nmmintrin.h>
+#endif
+
 namespace pie::persist {
 
 // The slab encoders memcpy whole u64/f64 arrays; that is only the wire
@@ -44,7 +48,7 @@ const Crc32cTables& Tables() {
 
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
+uint32_t Crc32cPortable(const void* data, size_t size, uint32_t seed) {
   const Crc32cTables& tb = Tables();
   const unsigned char* p = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
@@ -63,6 +67,47 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
     crc = tb.t[0][(crc ^ *p++) & 0xff] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+namespace {
+
+using Crc32cFn = uint32_t (*)(const void*, size_t, uint32_t);
+
+#if defined(__x86_64__) && defined(__GNUC__)
+/// The SSE4.2 `crc32` instruction computes exactly this polynomial's
+/// reflected update, 8 bytes per step (one dependent chain: ~3 cycles per
+/// word, several times the table loop's speed).
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
+                                                      size_t size,
+                                                      uint32_t seed) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint64_t crc = ~seed;
+  while (size >= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    crc = _mm_crc32_u64(crc, word);
+    p += 8;
+    size -= 8;
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  while (size-- > 0) crc32 = _mm_crc32_u8(crc32, *p++);
+  return ~crc32;
+}
+#endif
+
+Crc32cFn SelectCrc32c() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return Crc32cSse42;
+#endif
+  return Crc32cPortable;
+}
+
+}  // namespace
+
+uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
+  static const Crc32cFn crc32c = SelectCrc32c();
+  return crc32c(data, size, seed);
 }
 
 void WireWriter::U32(uint32_t v) {
@@ -118,11 +163,13 @@ bool WireReader::F64(double* v) {
 
 bool WireReader::Bytes(void* out, size_t n) { return Take(out, n); }
 
-bool WireReader::Skip(size_t n) {
+bool WireReader::Span(size_t n, const char** at) {
   if (failed_ || data_.size() - off_ < n) {
     failed_ = true;
+    *at = nullptr;
     return false;
   }
+  *at = data_.data() + off_;
   off_ += n;
   return true;
 }

@@ -39,9 +39,17 @@
 namespace pie::persist {
 
 /// CRC-32C (Castagnoli polynomial, reflected), the checksum guarding every
-/// slab and file of the wire format. Slice-by-8 software implementation;
-/// `seed` chains partial checksums (pass a previous return value).
+/// slab and file of the wire format. Uses the SSE4.2 `crc32` instruction
+/// when the CPU has it (checked once, at the first call) and
+/// Crc32cPortable otherwise; both compute the same function, so the bytes
+/// on disk do not depend on the host. `seed` chains partial checksums
+/// (pass a previous return value): Crc32c(b, m, Crc32c(a, n)) is the CRC
+/// of a followed by b.
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0);
+
+/// The slice-by-8 software CRC-32C behind Crc32c on CPUs without SSE4.2.
+/// Exposed so tests can compare both paths on any host.
+uint32_t Crc32cPortable(const void* data, size_t size, uint32_t seed = 0);
 
 /// Append-only little-endian encoder over a growable buffer.
 class WireWriter {
@@ -81,7 +89,9 @@ class WireReader {
   bool I32(int32_t* v);
   bool F64(double* v);
   bool Bytes(void* out, size_t n);
-  bool Skip(size_t n);
+  /// Consumes the next `n` bytes without copying them: *at points at
+  /// them inside the buffer. One bounds check covers a whole slab.
+  bool Span(size_t n, const char** at);
 
   bool ok() const { return !failed_; }
   size_t offset() const { return off_; }

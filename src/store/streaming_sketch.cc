@@ -11,28 +11,43 @@ namespace pie {
 StreamingPpsSketch::StreamingPpsSketch(double tau, uint64_t salt)
     : tau_(tau), seed_fn_(salt) {
   PIE_CHECK(tau > 0 && std::isfinite(tau));
-  Rehash();
+  PIE_CHECK(Rehash());
+}
+
+Result<StreamingPpsSketch> StreamingPpsSketch::TryFromParts(
+    double tau, uint64_t salt, std::vector<WeightedItem> entries,
+    uint64_t num_updates) {
+  if (!(tau > 0) || !std::isfinite(tau)) {
+    return Status::DataLoss("PPS sketch with invalid tau");
+  }
+  StreamingPpsSketch sketch(tau, salt);
+  for (const auto& e : entries) {
+    if (!std::isfinite(e.weight) || e.weight <= 0 ||
+        e.weight < sketch.seed_fn_(e.key) * tau) {
+      return Status::DataLoss("PPS entry violates the inclusion invariant");
+    }
+  }
+  sketch.entries_ = std::move(entries);
+  if (!sketch.Rehash()) {
+    return Status::DataLoss("PPS sketch with a duplicate key");
+  }
+  sketch.num_updates_ = num_updates;
+  return sketch;
 }
 
 StreamingPpsSketch StreamingPpsSketch::FromParts(
     double tau, uint64_t salt, std::vector<WeightedItem> entries,
     uint64_t num_updates) {
-  StreamingPpsSketch sketch(tau, salt);
-  for (const auto& e : entries) {
-    PIE_CHECK(e.weight >= sketch.seed_fn_(e.key) * tau &&
-              "entry violates the PPS inclusion invariant");
-  }
-  sketch.entries_ = std::move(entries);
-  sketch.Rehash();
-  sketch.num_updates_ = num_updates;
-  return sketch;
+  auto sketch = TryFromParts(tau, salt, std::move(entries), num_updates);
+  PIE_CHECK_OK(sketch.status());
+  return std::move(sketch).value();
 }
 
 size_t StreamingPpsSketch::CapacityFor(size_t n) {
   return std::max<size_t>(16, std::bit_ceil(2 * n));
 }
 
-void StreamingPpsSketch::Rehash() {
+bool StreamingPpsSketch::Rehash() {
   PIE_CHECK(entries_.size() < kEmptySlot);
   const size_t capacity = CapacityFor(entries_.size());
   cells_.assign(capacity, Cell{0, kEmptySlot});
@@ -44,20 +59,22 @@ void StreamingPpsSketch::Rehash() {
     const auto fingerprint = static_cast<uint32_t>(hash);
     size_t i = static_cast<size_t>(hash >> shift_);
     while (cells_[i].slot != kEmptySlot) {
-      PIE_CHECK((cells_[i].fingerprint != fingerprint ||
-                 entries_[cells_[i].slot].key != key) &&
-                "duplicate key in persisted entries");
+      if (cells_[i].fingerprint == fingerprint &&
+          entries_[cells_[i].slot].key == key) {
+        return false;
+      }
       i = (i + 1) & mask;
     }
     cells_[i] = {fingerprint, static_cast<uint32_t>(slot)};
   }
+  return true;
 }
 
 void StreamingPpsSketch::Insert(uint64_t key, double weight, uint64_t hash,
                                 size_t cell) {
   entries_.push_back({key, weight});
   if (2 * entries_.size() > cells_.size()) {
-    Rehash();  // indexes the new entry too
+    PIE_CHECK(Rehash());  // indexes the new entry too; keys are distinct
     return;
   }
   cells_[cell] = {static_cast<uint32_t>(hash),
@@ -95,24 +112,6 @@ StreamingBottomkSketch::StreamingBottomkSketch(int k, RankFamily family,
                                                uint64_t salt)
     : k_(k), family_(family), seed_fn_(salt) {
   PIE_CHECK(k > 0);
-}
-
-StreamingBottomkSketch StreamingBottomkSketch::FromParts(
-    int k, RankFamily family, uint64_t salt,
-    std::vector<BottomKSketch::Entry> slots, uint64_t num_updates) {
-  StreamingBottomkSketch sketch(k, family, salt);
-  PIE_CHECK(static_cast<int>(slots.size()) <= k + 1);
-  auto by_rank = [](const BottomKSketch::Entry& a,
-                    const BottomKSketch::Entry& b) { return a.rank < b.rank; };
-  PIE_CHECK(std::is_heap(slots.begin(), slots.end(), by_rank));
-  for (const auto& slot : slots) {
-    PIE_CHECK(slot.rank == RankValue(family, slot.weight, sketch.seed_fn_(
-                                                              slot.key)) &&
-              "persisted rank disagrees with its (key, weight, salt)");
-  }
-  sketch.heap_ = std::move(slots);
-  sketch.num_updates_ = num_updates;
-  return sketch;
 }
 
 void StreamingBottomkSketch::Push(const BottomKSketch::Entry& entry) {

@@ -31,6 +31,7 @@
 #include "sampling/bottomk.h"
 #include "sampling/rank.h"
 #include "util/hashing.h"
+#include "util/status.h"
 
 namespace pie {
 
@@ -45,11 +46,17 @@ class StreamingPpsSketch {
   /// Rebuilds a sketch from persisted state (persist/format.cc): the
   /// entries land in `entries_` in the given order -- which a round-trip
   /// makes the original arrival order, keeping serialization bitwise --
-  /// and the key index is built at its final size in one pass. Keys must
-  /// be distinct; every weight must satisfy the inclusion invariant
-  /// weight >= seed(key) * tau (callers validate untrusted input *before*
-  /// this, returning a typed error; here violations are programming errors
-  /// and PIE_CHECK).
+  /// and the key index is built at its final size in one pass. The input
+  /// is untrusted: DataLoss when tau or a weight is not finite and
+  /// positive, when a weight falls below its inclusion threshold
+  /// seed(key) * tau, or when two entries share a key (found while the
+  /// index is built, so the check costs no extra probe).
+  static Result<StreamingPpsSketch> TryFromParts(
+      double tau, uint64_t salt, std::vector<WeightedItem> entries,
+      uint64_t num_updates);
+
+  /// TryFromParts for trusted input: a rejected input is a programming
+  /// error and PIE_CHECKs.
   static StreamingPpsSketch FromParts(double tau, uint64_t salt,
                                       std::vector<WeightedItem> entries,
                                       uint64_t num_updates);
@@ -144,8 +151,8 @@ class StreamingPpsSketch {
   void Insert(uint64_t key, double weight, uint64_t hash, size_t cell);
 
   /// Rebuilds the index at CapacityFor(size()) cells, indexing entries_ in
-  /// slot order. PIE_CHECKs that the keys are distinct.
-  void Rehash();
+  /// slot order. False (index incomplete) when two entries share a key.
+  [[nodiscard]] bool Rehash();
 
   /// Index size for n entries: the smallest power of two >= 2n, at least
   /// 16 -- a function of n alone, however the entries arrived.
@@ -176,16 +183,6 @@ class StreamingBottomkSketch {
  public:
   StreamingBottomkSketch(int k, RankFamily family, uint64_t salt);
 
-  /// Rebuilds a sketch from persisted state (persist/format.cc): `slots`
-  /// must already be a max-heap by rank of at most k+1 entries whose ranks
-  /// equal RankValue(family, weight, seed(key)) -- the wire format stores
-  /// only (key, weight) and recomputes ranks on load, so a round-trip is
-  /// bitwise (callers validate untrusted input before this; violations
-  /// here are programming errors and PIE_CHECK).
-  static StreamingBottomkSketch FromParts(
-      int k, RankFamily family, uint64_t salt,
-      std::vector<BottomKSketch::Entry> slots, uint64_t num_updates);
-
   /// Offers one (key, weight) record. Keys must be distinct across the
   /// stream (pre-aggregated records); zero weights rank at +infinity and
   /// are never retained.
@@ -199,11 +196,6 @@ class StreamingBottomkSketch {
   RankFamily family() const { return family_; }
   uint64_t salt() const { return seed_fn_.salt(); }
   uint64_t num_updates() const { return num_updates_; }
-
-  /// The raw retained slots (the k+1 smallest-ranked items, in heap
-  /// order) -- what persistence serializes so a reloaded sketch keeps
-  /// absorbing updates exactly where this one left off.
-  const std::vector<BottomKSketch::Entry>& pending() const { return heap_; }
 
   /// The bottom-k sketch of everything absorbed so far: entries sorted by
   /// increasing rank, threshold = (k+1)-st smallest rank (+infinity when

@@ -10,20 +10,29 @@
 // Also the torn-write half of the acceptance gate: corrupting the newest
 // generation of one participant must make its recovery fall back to the
 // previous complete generation, visible in the merged answers.
+//
+// And the parallel load: shard files verify and decode on the worker pool,
+// yet a strict recover names the same (lowest-index) bad shard every time,
+// a degraded one marks exactly the bad shards absent, and the filesystem
+// sees the same operations in the same order as a serial load.
 
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "persist/format.h"
 #include "store/query_service.h"
 #include "store/sketch_store.h"
 #include "test_dirs.h"
+#include "util/fs.h"
 #include "util/random.h"
 
 namespace pie {
@@ -218,6 +227,159 @@ TEST_F(PersistDeterminismTest, TornParticipantFallsBackAndStaysBitwise) {
   for (const int threads : kThreadCounts) {
     EXPECT_EQ(QueryBits(**merged, threads), want)
         << "torn-write fallback changed answers at num_threads=" << threads;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Parallel shard load: files are read on the calling thread in shard order,
+// verified and decoded on the worker pool, and reduced in shard order.
+// ---------------------------------------------------------------------------
+
+constexpr int kLoadShards = 16;
+
+/// One generation of a 16-shard store in a fresh directory.
+std::string CheckpointSixteenShards(const std::string& tag) {
+  SketchStoreOptions options = StoreOptions();
+  options.num_shards = kLoadShards;
+  SketchStore store(options);
+  for (const Record& r : MakeStream()) store.Update(r.instance, r.key, r.weight);
+  const std::string dir = FreshTestDir(tag);
+  EXPECT_TRUE(store.Checkpoint(dir).ok());
+  return dir;
+}
+
+void FlipMiddleByte(const std::string& path) {
+  auto bytes = persist::ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok()) << path;
+  std::string corrupt = *bytes;
+  corrupt[corrupt.size() / 2] ^= 0x40;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+double MetricTotal(const std::string& name) {
+  const auto snapshot = obs::MetricsRegistry::Global().Snapshot();
+  const obs::MetricValue* v = snapshot.Find(name, {});
+  return v != nullptr ? v->value : 0.0;
+}
+
+TEST_F(PersistDeterminismTest, StrictLoadReportsLowestBadShard) {
+  const std::string dir = CheckpointSixteenShards("lowest_bad");
+  FlipMiddleByte(dir + "/" + persist::ShardFileName(1, 3));
+  FlipMiddleByte(dir + "/" + persist::ShardFileName(1, 11));
+  for (int repeat = 0; repeat < 50; ++repeat) {
+    auto strict = SketchStore::Recover(dir);
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().code(), StatusCode::kDataLoss);
+    const std::string& message = strict.status().message();
+    EXPECT_NE(message.find(persist::ShardFileName(1, 3)), std::string::npos)
+        << "repeat " << repeat << ": " << message;
+    EXPECT_EQ(message.find(persist::ShardFileName(1, 11)), std::string::npos)
+        << "repeat " << repeat << ": " << message;
+  }
+}
+
+TEST_F(PersistDeterminismTest, DegradedLoadMarksExactlyTheBadShards) {
+  const std::string dir = CheckpointSixteenShards("degraded_bad");
+  FlipMiddleByte(dir + "/" + persist::ShardFileName(1, 3));
+  FlipMiddleByte(dir + "/" + persist::ShardFileName(1, 11));
+  const double before = MetricTotal("pie_degraded_shards_total");
+  RecoverOptions options;
+  options.policy = RecoverPolicy::kDegraded;
+  auto degraded = SketchStore::Recover(dir, options);
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  std::vector<int> absent;
+  for (int s = 0; s < kLoadShards; ++s) {
+    if ((*degraded)->ShardAbsent(s)) absent.push_back(s);
+  }
+  EXPECT_EQ(absent, (std::vector<int>{3, 11}));
+#ifdef PIE_METRICS
+  EXPECT_EQ(MetricTotal("pie_degraded_shards_total"), before + 2.0);
+#else
+  (void)before;
+#endif
+}
+
+/// Forwards to a base filesystem and logs every call as "<op> <name>",
+/// with the calling thread.
+class OpLogFs : public FileSystem {
+ public:
+  explicit OpLogFs(FileSystem* base) : base_(base) {}
+
+  Result<std::string> ReadFile(const std::string& path) override {
+    Log("read", path);
+    return base_->ReadFile(path);
+  }
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    Log("create", path);
+    return base_->NewWritableFile(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    Log("rename", from);
+    return base_->Rename(from, to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    Log("remove", path);
+    return base_->RemoveFile(path);
+  }
+  Status SyncDir(const std::string& dir) override {
+    Log("syncdir", dir);
+    return base_->SyncDir(dir);
+  }
+  Status CreateDirs(const std::string& dir) override {
+    Log("mkdir", dir);
+    return base_->CreateDirs(dir);
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& dir) override {
+    Log("list", dir);
+    return base_->ListDir(dir);
+  }
+
+  std::vector<std::string> ops() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return ops_;
+  }
+  std::vector<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+
+ private:
+  void Log(const char* op, const std::string& path) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ops_.push_back(std::string(op) + " " + fs::path(path).filename().string());
+    threads_.push_back(std::this_thread::get_id());
+  }
+
+  FileSystem* base_;
+  mutable std::mutex mu_;
+  std::vector<std::string> ops_;
+  std::vector<std::thread::id> threads_;
+};
+
+TEST_F(PersistDeterminismTest, CleanRecoverMakesTheSameFsOps) {
+  // The op numbering FaultInjectingFs scripts against must not depend on
+  // the pool: a clean strict Recover lists the directory, reads the
+  // manifest, then reads shard 0..15 in order, all on the calling thread.
+  const std::string dir = CheckpointSixteenShards("fs_ops");
+  OpLogFs log(&FileSystem::Default());
+  FaultInjectingFs faults(&log);
+  RecoverOptions options;
+  options.fs = &faults;
+  auto recovered = SketchStore::Recover(dir, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+
+  std::vector<std::string> want = {"list " + fs::path(dir).filename().string(),
+                                   "read " + persist::ManifestFileName(1)};
+  for (uint32_t s = 0; s < kLoadShards; ++s) {
+    want.push_back("read " + persist::ShardFileName(1, s));
+  }
+  EXPECT_EQ(faults.ops(), want.size());
+  EXPECT_EQ(log.ops(), want);
+  for (const std::thread::id id : log.threads()) {
+    EXPECT_EQ(id, std::this_thread::get_id());
   }
 }
 

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -103,6 +104,27 @@ TEST(WireTest, Crc32cKnownAnswer) {
   const uint32_t part = persist::Crc32c(data + 11, sizeof(data) - 12,
                                         persist::Crc32c(data, 11));
   EXPECT_EQ(whole, part);
+}
+
+TEST(WireTest, Crc32cMatchesPortableSliceBy8) {
+  // Crc32c may take the SSE4.2 path; the slice-by-8 function is the
+  // reference, so both run on every host. Every length up to 4 KiB at
+  // every start alignment, fresh and chained from nonzero seeds.
+  constexpr size_t kMaxLen = 4096;
+  std::vector<unsigned char> buf(kMaxLen + 8);
+  Rng rng(3720);
+  for (auto& byte : buf) byte = static_cast<unsigned char>(rng.NextU64());
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const unsigned char* p = buf.data() + off;
+      const auto seed = static_cast<uint32_t>(rng.NextU64() | 1);
+      ASSERT_EQ(persist::Crc32c(p, len), persist::Crc32cPortable(p, len))
+          << "offset " << off << " length " << len;
+      ASSERT_EQ(persist::Crc32c(p, len, seed),
+                persist::Crc32cPortable(p, len, seed))
+          << "offset " << off << " length " << len << " seed " << seed;
+    }
+  }
 }
 
 TEST(WireTest, WriterReaderRoundTripIsBitwise) {
@@ -205,40 +227,6 @@ TEST(FormatTest, RecoveredPpsSketchContinuesExactly) {
   for (size_t i = 0; i < sketch.entries().size(); ++i) {
     EXPECT_EQ(decoded->second.entries()[i].key, sketch.entries()[i].key);
   }
-}
-
-TEST(FormatTest, BottomkSketchRoundTripIsBitwise) {
-  StreamingBottomkSketch sketch(16, RankFamily::kExp, 123);
-  Rng rng(9);
-  for (uint64_t key = 1; key <= 300; ++key) {
-    sketch.Update(key, 1.0 + rng.UniformInt(50));
-  }
-  persist::WireWriter w;
-  persist::SerializeBottomkSketch(sketch, &w);
-  persist::WireReader r(w.buffer());
-  auto decoded = persist::DeserializeBottomkSketch(&r);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->k(), sketch.k());
-  EXPECT_EQ(decoded->family(), sketch.family());
-  EXPECT_EQ(decoded->salt(), sketch.salt());
-  EXPECT_EQ(decoded->num_updates(), sketch.num_updates());
-  ASSERT_EQ(decoded->pending().size(), sketch.pending().size());
-  for (size_t i = 0; i < sketch.pending().size(); ++i) {
-    EXPECT_EQ(decoded->pending()[i].key, sketch.pending()[i].key);
-    EXPECT_EQ(std::bit_cast<uint64_t>(decoded->pending()[i].weight),
-              std::bit_cast<uint64_t>(sketch.pending()[i].weight));
-    // Ranks recomputed on load must be the identical bits.
-    EXPECT_EQ(std::bit_cast<uint64_t>(decoded->pending()[i].rank),
-              std::bit_cast<uint64_t>(sketch.pending()[i].rank));
-  }
-  const BottomKSketch a = sketch.Finalize();
-  const BottomKSketch b = decoded->Finalize();
-  ASSERT_EQ(a.entries.size(), b.entries.size());
-  EXPECT_EQ(std::bit_cast<uint64_t>(a.threshold),
-            std::bit_cast<uint64_t>(b.threshold));
-  persist::WireWriter again;
-  persist::SerializeBottomkSketch(*decoded, &again);
-  EXPECT_EQ(again.buffer(), w.buffer());
 }
 
 TEST(FormatTest, ManifestRoundTrip) {
@@ -421,6 +409,73 @@ TEST(CheckpointTest, TornRecoveryCountsCrcFailures) {
   EXPECT_GT(after.SumValues("pie_persist_bytes_written_total"), 0.0);
 }
 #endif  // PIE_METRICS
+
+/// Rewrites a real shard file so that the first PPS block's second entry
+/// repeats its first (key and weight, so the inclusion invariant still
+/// holds), then fixes up both slab CRCs and the footer CRC: only the
+/// duplicate key is wrong.
+std::string DuplicateFirstKey(std::string file) {
+  constexpr size_t kBlock = 24 + 16;          // file header + shard header
+  constexpr size_t kKeys = kBlock + 40;       // PPS block header
+  uint64_t count = 0;
+  std::memcpy(&count, file.data() + kKeys - 8, 8);
+  EXPECT_GE(count, 2u);
+  const size_t slab = 8 * count;
+  const size_t weights = kKeys + slab + 4;
+  std::memcpy(&file[kKeys + 8], file.data() + kKeys, 8);
+  std::memcpy(&file[weights + 8], file.data() + weights, 8);
+  const uint32_t keys_crc = persist::Crc32c(file.data() + kKeys, slab);
+  const uint32_t weights_crc = persist::Crc32c(file.data() + weights, slab);
+  std::memcpy(&file[kKeys + slab], &keys_crc, 4);
+  std::memcpy(&file[weights + slab], &weights_crc, 4);
+  const uint32_t footer_crc = persist::Crc32c(file.data(), file.size() - 4);
+  std::memcpy(&file[file.size() - 4], &footer_crc, 4);
+  return file;
+}
+
+TEST(CheckpointTest, DuplicateKeyIsDataLossAndRecoverFallsBack) {
+  const std::string dir = FreshTestDir("duplicate_key");
+  auto store_ptr = BuildStore();
+  SketchStore& store = *store_ptr;
+  ASSERT_TRUE(store.Checkpoint(dir).ok());
+  const auto generation1 = store.Snapshot();
+  store.Update(0, 100000, 50.0);
+  ASSERT_TRUE(store.Checkpoint(dir).ok());
+
+  // Generation 2's shard 0 gets a duplicated key, and its manifest entry
+  // is fixed up to the new bytes, so every CRC on the way verifies.
+  const std::string shard_path = dir + "/" + persist::ShardFileName(2, 0);
+  const std::string shard = DuplicateFirstKey(Slurp(shard_path));
+  Spill(shard_path, shard);
+  const std::string manifest_path = dir + "/" + persist::ManifestFileName(2);
+  auto manifest = persist::DecodeManifest(Slurp(manifest_path));
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  manifest->shards[0].file_crc = persist::Crc32c(shard.data(), shard.size());
+  Spill(manifest_path, persist::EncodeManifest(*manifest));
+
+  auto decoded = persist::DecodeShardFile(shard);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(decoded.status().message().find("duplicate key"),
+            std::string::npos)
+      << decoded.status().ToString();
+
+#ifdef PIE_METRICS
+  const auto crc_failures = [] {
+    const auto snapshot = obs::MetricsRegistry::Global().Snapshot();
+    const obs::MetricValue* v =
+        snapshot.Find("pie_persist_crc_failures_total", {});
+    return v != nullptr ? v->value : 0.0;
+  };
+  const double before = crc_failures();
+#endif
+  auto recovered = SketchStore::Recover(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ExpectSameSnapshots(*generation1, *(*recovered)->Snapshot());
+#ifdef PIE_METRICS
+  EXPECT_EQ(crc_failures(), before + 1.0);
+#endif
+}
 
 // ---------------------------------------------------------------------------
 // Corruption sweep: every truncation and every bit flip of a real shard
